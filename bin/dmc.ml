@@ -629,9 +629,10 @@ let witness_cmd =
       | Some v -> v
       | None ->
           (* pick the vertex with the largest wavefront *)
+          let wavefront = Dmc_core.Wavefront.min_wavefront g in
           let best = ref 0 and best_w = ref (-1) in
           Dmc_cdag.Cdag.iter_vertices g (fun x ->
-              let w = Dmc_core.Wavefront.min_wavefront g x in
+              let w = wavefront x in
               if w > !best_w then begin
                 best_w := w;
                 best := x

@@ -49,9 +49,9 @@ let compare ?(dims = [ 5; 5 ]) ?(iters = 3) ?(s = 12) () =
   let cg_last = cg.Dmc_gen.Solver.iterations.(iters - 1) in
   let cheb_last = cheb.Dmc_gen.Solver.ch_iterations.(iters - 1) in
   let cheb_wavefront =
+    let wavefront = Dmc_core.Wavefront.min_wavefront cheb.Dmc_gen.Solver.ch_graph in
     Array.fold_left
-      (fun acc v ->
-        max acc (Dmc_core.Wavefront.min_wavefront cheb.Dmc_gen.Solver.ch_graph v))
+      (fun acc v -> max acc (wavefront v))
       0 cheb_last.Dmc_gen.Solver.residual
   in
   {

@@ -554,10 +554,11 @@ let certify_wavefront ?(samples = 64) g ~s =
         List.init samples (fun _ -> Dmc_util.Rng.int rng n)
       end
     in
+    let wavefront = Wavefront.min_wavefront stripped in
     let best = ref 0 and best_w = ref (-1) in
     List.iter
       (fun x ->
-        let w = Wavefront.min_wavefront stripped x in
+        let w = wavefront x in
         if w > !best_w then begin
           best_w := w;
           best := x

@@ -32,6 +32,7 @@ let wavefront_sum _g ~pieces ~s =
     (fun acc ((p : Subgraph.part), targets) ->
       let stripped, di = Subgraph.drop_inputs p.graph in
       let d_o = 0 in
+      let wavefront = Wavefront.min_wavefront stripped.graph in
       let best =
         List.fold_left
           (fun best v ->
@@ -42,10 +43,7 @@ let wavefront_sum _g ~pieces ~s =
                 | None -> best
                 | Some v'' ->
                     max best
-                      (Wavefront.lemma2_bound
-                         ~wavefront:
-                           (Wavefront.min_wavefront stripped.graph v'')
-                         ~s)))
+                      (Wavefront.lemma2_bound ~wavefront:(wavefront v'') ~s)))
           0 targets
       in
       acc + best + di + d_o)

@@ -1,5 +1,5 @@
 module Cdag = Dmc_cdag.Cdag
-module Maxflow = Dmc_flow.Maxflow
+module Vertex_cut = Dmc_flow.Vertex_cut
 
 let bound ~line_vertices ~f_inverse_2s =
   if line_vertices <= 0 || f_inverse_2s < 0 then invalid_arg "Lines.bound";
@@ -18,23 +18,4 @@ let jacobi_bound ~d ~n ~steps ~s =
 let max_disjoint_lines g =
   let inputs = Cdag.inputs g and outputs = Cdag.outputs g in
   if inputs = [] || outputs = [] then 0
-  else begin
-    (* Unit vertex capacities everywhere, endpoints included: lines may
-       not share any vertex at all. *)
-    let n = Cdag.n_vertices g in
-    let v_in v = 2 * v and v_out v = (2 * v) + 1 in
-    let net = Maxflow.create ((2 * n) + 2) in
-    let src = 2 * n and dst = (2 * n) + 1 in
-    for v = 0 to n - 1 do
-      ignore (Maxflow.add_edge net ~src:(v_in v) ~dst:(v_out v) ~cap:1)
-    done;
-    Cdag.iter_edges g (fun u v ->
-        ignore (Maxflow.add_edge net ~src:(v_out u) ~dst:(v_in v) ~cap:Maxflow.infinite));
-    List.iter
-      (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(v_in v) ~cap:1))
-      inputs;
-    List.iter
-      (fun v -> ignore (Maxflow.add_edge net ~src:(v_out v) ~dst ~cap:1))
-      outputs;
-    Maxflow.max_flow net ~src ~dst
-  end
+  else Vertex_cut.disjoint_set_paths g ~from_set:inputs ~to_set:outputs

@@ -8,54 +8,49 @@ module Vertex_cut = Dmc_flow.Vertex_cut
 let c_mincut = Dmc_obs.Counter.make "wavefront.mincut_calls"
 let h_cut_size = Dmc_obs.Histogram.make "wavefront.cut_size"
 
+(* The terminal sets of [x]'s min-cut query, [{x} ∪ Anc(x)] and
+   [Desc(x)]; [None] when [x] has no descendants, so that its wavefront
+   is just [{x}]. *)
+let terminals g x =
+  let desc = Reach.descendants g x in
+  if Bitset.is_empty desc then None
+  else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
+
 let min_wavefront_cut ?budget g x =
   Dmc_obs.Counter.incr c_mincut;
-  let desc = Reach.descendants g x in
-  if Bitset.is_empty desc then begin
-    Dmc_obs.Histogram.observe h_cut_size 1;
-    (1, [ x ])
-  end
-  else begin
-    let anc = Reach.ancestors g x in
-    let from_set = x :: Bitset.elements anc in
-    let to_set = Bitset.elements desc in
-    let r =
-      Vertex_cut.min_vertex_cut ?budget g ~from_set ~to_set ~uncuttable:to_set ()
-    in
-    Dmc_obs.Histogram.observe h_cut_size r.size;
-    (r.size, r.cut)
-  end
+  let size, cut =
+    match terminals g x with
+    | None -> (1, [ x ])
+    | Some (from_set, to_set) ->
+        let r =
+          Vertex_cut.min_vertex_cut ?budget g ~from_set ~to_set ~uncuttable:to_set ()
+        in
+        (r.size, r.cut)
+  in
+  Dmc_obs.Histogram.observe h_cut_size size;
+  (size, cut)
 
-let min_wavefront ?budget g x = fst (min_wavefront_cut ?budget g x)
+let min_wavefront ?budget g =
+  let prepared = lazy (Vertex_cut.prepare g) in
+  fun x ->
+    Dmc_obs.Counter.incr c_mincut;
+    let size =
+      match terminals g x with
+      | None -> 1
+      | Some (from_set, to_set) ->
+          Vertex_cut.cut_size ?budget (Lazy.force prepared) ~from_set ~to_set
+            ~uncuttable:to_set ()
+    in
+    Dmc_obs.Histogram.observe h_cut_size size;
+    size
 
 let wmax_exact ?budget g =
   Dmc_obs.Span.with_
     ~attrs:[ ("n", string_of_int (Cdag.n_vertices g)) ]
     "wavefront.wmax_exact"
     (fun () ->
-      Cdag.fold_vertices g (fun acc x -> max acc (min_wavefront ?budget g x)) 0)
-
-let wmax_exact_par ?domains g =
-  let n = Cdag.n_vertices g in
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Domain.recommended_domain_count ()
-  in
-  if domains <= 1 || n < 64 then wmax_exact g
-  else begin
-    let chunks = min domains n in
-    let worker c () =
-      let best = ref 0 in
-      let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-      for x = lo to hi - 1 do
-        best := max !best (min_wavefront g x)
-      done;
-      !best
-    in
-    let handles = List.init chunks (fun c -> Domain.spawn (worker c)) in
-    List.fold_left (fun acc h -> max acc (Domain.join h)) 0 handles
-  end
+      let wavefront = min_wavefront ?budget g in
+      Cdag.fold_vertices g (fun acc x -> max acc (wavefront x)) 0)
 
 let wmax_sampled ?budget rng g ~samples =
   let n = Cdag.n_vertices g in
@@ -65,10 +60,11 @@ let wmax_sampled ?budget rng g ~samples =
       ~attrs:[ ("n", string_of_int n); ("samples", string_of_int samples) ]
       "wavefront.wmax_sampled"
       (fun () ->
+        let wavefront = min_wavefront ?budget g in
         let best = ref 0 in
         for _ = 1 to samples do
           let x = Rng.int rng n in
-          best := max !best (min_wavefront ?budget g x)
+          best := max !best (wavefront x)
         done;
         !best)
 
@@ -84,12 +80,13 @@ let wmax_sampled_anytime ?budget rng g ~samples =
       ~attrs:[ ("n", string_of_int n); ("samples", string_of_int samples) ]
       "wavefront.wmax_sampled_anytime"
       (fun () ->
+        let wavefront = min_wavefront ?budget g in
         let best = ref 0 in
         let completed = ref 0 in
         (try
            for _ = 1 to samples do
              let x = Rng.int rng n in
-             best := max !best (min_wavefront ?budget g x);
+             best := max !best (wavefront x);
              incr completed
            done
          with Dmc_util.Budget.Exhausted _ -> ());
@@ -104,17 +101,10 @@ type witness = {
 }
 
 let witness g x =
-  let desc = Reach.descendants g x in
-  if Bitset.is_empty desc then { x; paths = [] }
-  else begin
-    let anc = Reach.ancestors g x in
-    let from_set = x :: Bitset.elements anc in
-    let to_set = Bitset.elements desc in
-    let paths =
-      Vertex_cut.path_witness g ~from_set ~to_set ~uncuttable:to_set ()
-    in
-    { x; paths }
-  end
+  match terminals g x with
+  | None -> { x; paths = [] }
+  | Some (from_set, to_set) ->
+      { x; paths = Vertex_cut.path_witness g ~from_set ~to_set ~uncuttable:to_set () }
 
 let verify_witness g w =
   let n = Cdag.n_vertices g in

@@ -16,7 +16,12 @@ module Rng := Dmc_util.Rng
 val min_wavefront : ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int
 (** [|Wmin(x)|]: the vertex min-cut separating [{x} ∪ Anc(x)] from
     [Desc(x)] (descendants uncuttable).  Returns 1 when [x] has no
-    descendants (only [x] itself is live). *)
+    descendants (only [x] itself is live).
+
+    Staged: [min_wavefront ?budget g] builds [g]'s flow network once
+    (on first need) and the returned function reuses it for every
+    vertex it is applied to, one vertex at a time.  A sweep over many
+    vertices should apply it once to [g] and keep the result. *)
 
 val min_wavefront_cut :
   ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int * Cdag.vertex list
@@ -25,13 +30,6 @@ val min_wavefront_cut :
 val wmax_exact : ?budget:Budget.t -> Cdag.t -> int
 (** [w_max = max_x |Wmin(x)|] over every vertex — one max-flow per
     vertex, so quadratic-ish; intended for small and mid-size CDAGs. *)
-
-val wmax_exact_par : ?domains:int -> Cdag.t -> int
-(** {!wmax_exact} with the per-vertex max-flows fanned out over OCaml 5
-    domains (default {!Domain.recommended_domain_count}); the flows are
-    independent and the CDAG is immutable, so the sweep is
-    embarrassingly parallel.  Falls back to the sequential sweep for
-    one domain or tiny graphs. *)
 
 val wmax_sampled : ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
 (** Max of [|Wmin(x)|] over a random sample of vertices.  Always a

@@ -9,35 +9,67 @@ type result = {
 }
 
 (* Node numbering in the split network: v_in = 2v, v_out = 2v+1,
-   super-source = 2n, super-sink = 2n+1. *)
+   super-source = 2n, super-sink = 2n+1.  [prepare] adds the split
+   edges first, in vertex order, so v's split edge has id 2v. *)
 let v_in v = 2 * v
 let v_out v = (2 * v) + 1
+let split_edge v = 2 * v
 
-let min_vertex_cut ?budget g ~from_set ~to_set ?(uncuttable = []) () =
-  if from_set = [] || to_set = [] then
-    invalid_arg "Vertex_cut.min_vertex_cut: empty terminal set";
+type prepared = {
+  n : int;
+  net : Maxflow.t;
+}
+
+let prepare g =
   let n = Cdag.n_vertices g in
-  let in_from = Bitset.of_list n from_set and in_to = Bitset.of_list n to_set in
-  if not (Bitset.is_empty (Bitset.inter in_from in_to)) then
-    invalid_arg "Vertex_cut.min_vertex_cut: terminal sets intersect";
-  let hard = Bitset.of_list n uncuttable in
   let net = Maxflow.create ((2 * n) + 2) in
-  let src = 2 * n and dst = (2 * n) + 1 in
-  let split_edge = Array.make n (-1) in
   for v = 0 to n - 1 do
-    let cap = if Bitset.mem hard v then Maxflow.infinite else 1 in
-    split_edge.(v) <- Maxflow.add_edge net ~src:(v_in v) ~dst:(v_out v) ~cap
+    ignore (Maxflow.add_edge net ~src:(v_in v) ~dst:(v_out v) ~cap:1)
   done;
   Cdag.iter_edges g (fun u v ->
       ignore (Maxflow.add_edge net ~src:(v_out u) ~dst:(v_in v) ~cap:Maxflow.infinite));
-  List.iter
-    (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(v_in v) ~cap:Maxflow.infinite))
-    from_set;
-  List.iter
-    (fun v -> ignore (Maxflow.add_edge net ~src:(v_out v) ~dst ~cap:Maxflow.infinite))
-    to_set;
-  let size = Maxflow.max_flow ?budget net ~src ~dst in
-  let residual_side = Maxflow.min_cut_source_side net ~src in
+  Maxflow.snapshot net;
+  { n; net }
+
+(* Rewind to the base network, make the [uncuttable] split edges
+   infinite and hang the terminal sets off the super-source and
+   super-sink — edge for edge the network a fresh build would make, so
+   Dinic's visits, and the budget ticks they cost, match it exactly. *)
+let load p ~uncuttable ~from_set ~source_cap ~to_set ~sink_cap =
+  let net = p.net and src = 2 * p.n and dst = (2 * p.n) + 1 in
+  let each vs f =
+    List.iter
+      (fun v ->
+        if v < 0 || v >= p.n then invalid_arg "Vertex_cut: vertex out of range";
+        f v)
+      vs
+  in
+  Maxflow.restore net;
+  each uncuttable (fun v -> Maxflow.set_capacity net (split_edge v) Maxflow.infinite);
+  each from_set (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(v_in v) ~cap:source_cap));
+  each to_set (fun v -> ignore (Maxflow.add_edge net ~src:(v_out v) ~dst ~cap:sink_cap))
+
+let check_terminals where p ~from_set ~to_set =
+  if from_set = [] || to_set = [] then invalid_arg (where ^ ": empty terminal set");
+  if List.exists (Bitset.mem (Bitset.of_list p.n from_set)) to_set then
+    invalid_arg (where ^ ": terminal sets intersect")
+
+let run ?budget p = Maxflow.max_flow ?budget p.net ~src:(2 * p.n) ~dst:((2 * p.n) + 1)
+
+let cut_flow where ?budget p ~from_set ~to_set ~uncuttable =
+  load p ~uncuttable ~from_set ~source_cap:Maxflow.infinite ~to_set
+    ~sink_cap:Maxflow.infinite;
+  check_terminals where p ~from_set ~to_set;
+  run ?budget p
+
+let cut_size ?budget p ~from_set ~to_set ?(uncuttable = []) () =
+  cut_flow "Vertex_cut.cut_size" ?budget p ~from_set ~to_set ~uncuttable
+
+let min_vertex_cut ?budget g ~from_set ~to_set ?(uncuttable = []) () =
+  let p = prepare g in
+  let size = cut_flow "Vertex_cut.min_vertex_cut" ?budget p ~from_set ~to_set ~uncuttable in
+  let n = p.n in
+  let residual_side = Maxflow.min_cut_source_side p.net ~src:(2 * n) in
   (* A vertex is in the cut when its split edge crosses the residual
      boundary: v_in reachable, v_out not. *)
   let cut = ref [] in
@@ -52,28 +84,12 @@ let min_vertex_cut ?budget g ~from_set ~to_set ?(uncuttable = []) () =
   { size; cut = !cut; source_side }
 
 let path_witness ?budget g ~from_set ~to_set ?(uncuttable = []) () =
-  if from_set = [] || to_set = [] then
-    invalid_arg "Vertex_cut.path_witness: empty terminal set";
-  let n = Cdag.n_vertices g in
-  let in_from = Bitset.of_list n from_set and in_to = Bitset.of_list n to_set in
-  if not (Bitset.is_empty (Bitset.inter in_from in_to)) then
-    invalid_arg "Vertex_cut.path_witness: terminal sets intersect";
-  let hard = Bitset.of_list n uncuttable in
-  let net = Maxflow.create ((2 * n) + 2) in
+  let p = prepare g in
+  load p ~uncuttable ~from_set ~source_cap:1 ~to_set ~sink_cap:Maxflow.infinite;
+  check_terminals "Vertex_cut.path_witness" p ~from_set ~to_set;
+  let size = run ?budget p in
+  let n = p.n and net = p.net in
   let src = 2 * n and dst = (2 * n) + 1 in
-  for v = 0 to n - 1 do
-    let cap = if Bitset.mem hard v then Maxflow.infinite else 1 in
-    ignore (Maxflow.add_edge net ~src:(v_in v) ~dst:(v_out v) ~cap)
-  done;
-  Cdag.iter_edges g (fun u v ->
-      ignore (Maxflow.add_edge net ~src:(v_out u) ~dst:(v_in v) ~cap:Maxflow.infinite));
-  List.iter
-    (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(v_in v) ~cap:1))
-    from_set;
-  List.iter
-    (fun v -> ignore (Maxflow.add_edge net ~src:(v_out v) ~dst ~cap:Maxflow.infinite))
-    to_set;
-  let size = Maxflow.max_flow ?budget net ~src ~dst in
   (* Decompose the flow into unit paths: walk from the super-source
      along edges with unconsumed flow, consuming one unit per step. *)
   let consumed = Hashtbl.create 64 in
@@ -115,12 +131,11 @@ let path_witness ?budget g ~from_set ~to_set ?(uncuttable = []) () =
 
 let disjoint_paths ?budget g ~src ~dst =
   if src = dst then invalid_arg "Vertex_cut.disjoint_paths: src = dst";
-  let n = Cdag.n_vertices g in
-  let net = Maxflow.create (2 * n) in
-  for v = 0 to n - 1 do
-    let cap = if v = src || v = dst then Maxflow.infinite else 1 in
-    ignore (Maxflow.add_edge net ~src:(v_in v) ~dst:(v_out v) ~cap)
-  done;
-  Cdag.iter_edges g (fun u v ->
-      ignore (Maxflow.add_edge net ~src:(v_out u) ~dst:(v_in v) ~cap:Maxflow.infinite));
-  Maxflow.max_flow ?budget net ~src:(v_out src) ~dst:(v_in dst)
+  let p = prepare g in
+  load p ~uncuttable:[ src; dst ] ~from_set:[] ~source_cap:0 ~to_set:[] ~sink_cap:0;
+  Maxflow.max_flow ?budget p.net ~src:(v_out src) ~dst:(v_in dst)
+
+let disjoint_set_paths g ~from_set ~to_set =
+  let p = prepare g in
+  load p ~uncuttable:[] ~from_set ~source_cap:1 ~to_set ~sink_cap:1;
+  run p

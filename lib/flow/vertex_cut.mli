@@ -14,7 +14,14 @@ module Cdag := Dmc_cdag.Cdag
     feeds every [from_set] vertex's [v_in], and every [to_set] vertex's
     [v_out] drains to a super-sink.  Menger's theorem makes the max flow
     equal the min cut, and the saturated split edges on the source-side
-    boundary of the residual graph name the cut vertices. *)
+    boundary of the residual graph name the cut vertices.
+
+    Every function here builds that network through {!prepare}: the
+    split and CDAG edges once, then per query the uncuttable split
+    capacities and the terminal edges, always in the same order.  A
+    caller with many queries on one graph keeps the {!prepared} network
+    and asks {!cut_size} repeatedly; each answer, and each budget tick
+    spent reaching it, is exactly what a fresh {!min_vertex_cut} gives. *)
 
 type result = {
   size : int;                    (** [|W|], the max-flow value *)
@@ -38,6 +45,25 @@ val min_vertex_cut :
     [to_set] vertices are uncuttable but every path from [from_set]
     contains some cuttable vertex; if not, [size] may be
     {!Maxflow.infinite}-scaled (treat as "no finite cut"). *)
+
+type prepared
+(** The split network of one CDAG, reusable across queries.  Mutable:
+    one query at a time. *)
+
+val prepare : Cdag.t -> prepared
+
+val cut_size :
+  ?budget:Dmc_util.Budget.t ->
+  prepared ->
+  from_set:Cdag.vertex list ->
+  to_set:Cdag.vertex list ->
+  ?uncuttable:Cdag.vertex list ->
+  unit ->
+  int
+(** [(min_vertex_cut g ...).size] on [g]'s prepared network, without
+    the cut extraction.  Same errors.  A query cut short by [budget]
+    leaves nothing behind: the next query starts from the prepared
+    state. *)
 
 val path_witness :
   ?budget:Dmc_util.Budget.t ->
@@ -63,3 +89,9 @@ val disjoint_paths :
     [src] to [dst] (endpoints excluded from the disjointness
     requirement).  Used by the CG/GMRES wavefront arguments, which rest
     on "disjoint paths from the predecessors to the descendants". *)
+
+val disjoint_set_paths :
+  Cdag.t -> from_set:Cdag.vertex list -> to_set:Cdag.vertex list -> int
+(** Maximum number of pairwise vertex-disjoint directed paths from
+    [from_set] to [to_set], endpoints included: no two paths share any
+    vertex, and a vertex in both sets is a one-vertex path. *)

@@ -168,13 +168,6 @@ let test_wavefront_diamond_antidiagonal () =
   (* the widest anti-diagonal of a 4x4 diamond has 4 vertices *)
   check "diamond wmax" 4 (Wavefront.wmax_exact g)
 
-let test_wavefront_parallel_sweep () =
-  (* same answer across domain counts, including the fallback path *)
-  let g = Cdag.retag (Dmc_gen.Fft.butterfly 4) ~inputs:[] ~outputs:[] in
-  let seq = Wavefront.wmax_exact g in
-  check "one domain" seq (Wavefront.wmax_exact_par ~domains:1 g);
-  check "four domains" seq (Wavefront.wmax_exact_par ~domains:4 g)
-
 let test_wavefront_sampled_le_exact () =
   let rng = Rng.create 3 in
   let g = Cdag.retag (Dmc_gen.Fft.butterfly 3) ~inputs:[] ~outputs:[] in
@@ -442,7 +435,6 @@ let () =
           Alcotest.test_case "parallel paths" `Quick test_wavefront_parallel_paths;
           Alcotest.test_case "diamond anti-diagonal" `Quick test_wavefront_diamond_antidiagonal;
           Alcotest.test_case "sampled below exact" `Quick test_wavefront_sampled_le_exact;
-          Alcotest.test_case "parallel sweep" `Quick test_wavefront_parallel_sweep;
           Alcotest.test_case "lemma 2" `Quick test_lemma2_bound;
           Alcotest.test_case "cg witness" `Quick test_witness_cg;
           Alcotest.test_case "witness tampering" `Quick test_witness_rejects_tampering;

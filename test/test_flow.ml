@@ -70,7 +70,14 @@ let test_maxflow_errors () =
       ignore (Maxflow.add_edge net ~src:0 ~dst:1 ~cap:(-1)));
   Alcotest.check_raises "bad node"
     (Invalid_argument "Maxflow.add_edge: node out of range") (fun () ->
-      ignore (Maxflow.add_edge net ~src:0 ~dst:2 ~cap:1))
+      ignore (Maxflow.add_edge net ~src:0 ~dst:2 ~cap:1));
+  let e = Maxflow.add_edge net ~src:0 ~dst:1 ~cap:1 in
+  Alcotest.check_raises "flow_on bad id"
+    (Invalid_argument "Maxflow.flow_on: edge id out of range") (fun () ->
+      ignore (Maxflow.flow_on net (e + 2)));
+  Alcotest.check_raises "edge_dst bad id"
+    (Invalid_argument "Maxflow.edge_dst: edge id out of range") (fun () ->
+      ignore (Maxflow.edge_dst net (-1)))
 
 (* Flow = capacity of the cut induced by the residual source side
    (max-flow/min-cut duality), on random networks. *)
@@ -240,6 +247,120 @@ let prop_cut_bounded =
         && r.Vertex_cut.size = List.length r.Vertex_cut.cut
       end)
 
+(* ------------------------------------------------------------------ *)
+(* Prepared split network: tick-for-tick equal to a fresh build        *)
+
+module Budget = Dmc_util.Budget
+module Reach = Dmc_cdag.Reach
+
+(* The split network built from scratch in the reduction's documented
+   edge order — the reference every prepared query must match, in flow
+   value and in budget ticks. *)
+let fresh_cut_size ~budget g ~from_set ~to_set ~uncuttable =
+  let n = Cdag.n_vertices g in
+  let hard = Bitset.of_list n uncuttable in
+  let net = Maxflow.create ((2 * n) + 2) in
+  let src = 2 * n and dst = (2 * n) + 1 in
+  for v = 0 to n - 1 do
+    let cap = if Bitset.mem hard v then Maxflow.infinite else 1 in
+    ignore (Maxflow.add_edge net ~src:(2 * v) ~dst:((2 * v) + 1) ~cap)
+  done;
+  Cdag.iter_edges g (fun u v ->
+      ignore (Maxflow.add_edge net ~src:((2 * u) + 1) ~dst:(2 * v) ~cap:Maxflow.infinite));
+  List.iter
+    (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(2 * v) ~cap:Maxflow.infinite))
+    from_set;
+  List.iter
+    (fun v -> ignore (Maxflow.add_edge net ~src:((2 * v) + 1) ~dst ~cap:Maxflow.infinite))
+    to_set;
+  Maxflow.max_flow ~budget net ~src ~dst
+
+(* Wavefront terminals of [x]: [{x} ∪ Anc(x)] and [Desc(x)]. *)
+let wavefront_terminals g x =
+  let desc = Reach.descendants g x in
+  if Bitset.is_empty desc then None
+  else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
+
+(* Every x's wavefront query on one prepared network: same size and
+   same ticks as a fresh build, and as [min_vertex_cut]. *)
+let prepared_matches_fresh g =
+  let p = Vertex_cut.prepare g in
+  Cdag.fold_vertices g
+    (fun ok x ->
+      ok
+      &&
+      match wavefront_terminals g x with
+      | None -> true
+      | Some (from_set, to_set) ->
+          let b_prep = Budget.create () and b_fresh = Budget.create () in
+          let size =
+            Vertex_cut.cut_size ~budget:b_prep p ~from_set ~to_set ~uncuttable:to_set ()
+          in
+          size = fresh_cut_size ~budget:b_fresh g ~from_set ~to_set ~uncuttable:to_set
+          && Budget.spent b_prep = Budget.spent b_fresh
+          && size
+             = (Vertex_cut.min_vertex_cut g ~from_set ~to_set ~uncuttable:to_set ())
+                 .Vertex_cut.size)
+    true
+
+let prop_prepared_layered =
+  QCheck.Test.make ~name:"prepared = fresh, layered" ~count:30 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      prepared_matches_fresh
+        (Dmc_gen.Random_dag.layered rng ~layers:5 ~width:6 ~edge_prob:0.4))
+
+let prop_prepared_daggen =
+  QCheck.Test.make ~name:"prepared = fresh, daggen" ~count:10 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      prepared_matches_fresh
+        (Dmc_gen.Random_dag.daggen rng ~n:(40 + Rng.int rng 40) ~fat:0.5 ~density:0.3
+           ~ccr:1))
+
+(* A query cut short mid-flow must not leak into the next one. *)
+let test_restore_after_exhaustion () =
+  let g = Dmc_gen.Random_dag.daggen (Rng.create 5) ~n:60 ~fat:0.5 ~density:0.3 ~ccr:1 in
+  let p = Vertex_cut.prepare g in
+  Cdag.iter_vertices g (fun x ->
+      match wavefront_terminals g x with
+      | None -> ()
+      | Some (from_set, to_set) ->
+          let b_fresh = Budget.create () in
+          let fresh =
+            fresh_cut_size ~budget:b_fresh g ~from_set ~to_set ~uncuttable:to_set
+          in
+          let ticks = Budget.spent b_fresh in
+          (match
+             Vertex_cut.cut_size
+               ~budget:(Budget.create ~nodes:(max 1 (ticks / 2)) ())
+               p ~from_set ~to_set ~uncuttable:to_set ()
+           with
+          | _ -> if ticks > 1 then Alcotest.fail "half budget should exhaust"
+          | exception Budget.Exhausted _ -> ());
+          let b = Budget.create () in
+          check "size after abort" fresh
+            (Vertex_cut.cut_size ~budget:b p ~from_set ~to_set ~uncuttable:to_set ());
+          check "ticks after abort" ticks (Budget.spent b))
+
+(* The anytime sampler's value and tick count under fixed budgets,
+   pinned from the per-query fresh-network implementation. *)
+let test_anytime_ticks_pinned () =
+  let g =
+    Cdag.retag
+      (Dmc_gen.Random_dag.daggen (Rng.create 7) ~n:150 ~fat:0.5 ~density:0.3 ~ccr:1)
+      ~inputs:[] ~outputs:[]
+  in
+  List.iter
+    (fun (nodes, value, spent) ->
+      let budget = Budget.create ?nodes () in
+      let w =
+        Dmc_core.Wavefront.wmax_sampled_anytime ~budget (Rng.create 11) g ~samples:64
+      in
+      check "value" value w;
+      check "ticks" spent (Budget.spent budget))
+    [ (Some 5_000, 0, 5_000); (Some 8_000, 22, 8_000); (None, 22, 280_615) ]
+
 let qsuite name tests =
   (* fixed qcheck seed so runs are reproducible *)
   ( name,
@@ -272,4 +393,10 @@ let () =
           Alcotest.test_case "witness matches cut" `Quick test_path_witness_count_matches_cut;
         ] );
       qsuite "vertex-cut-props" [ prop_cut_bounded ];
+      qsuite "prepared-props" [ prop_prepared_layered; prop_prepared_daggen ];
+      ( "prepared",
+        [
+          Alcotest.test_case "restore after exhaustion" `Quick test_restore_after_exhaustion;
+          Alcotest.test_case "anytime ticks pinned" `Quick test_anytime_ticks_pinned;
+        ] );
     ]
