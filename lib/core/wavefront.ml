@@ -16,20 +16,6 @@ let terminals g x =
   if Bitset.is_empty desc then None
   else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
 
-let min_wavefront_cut ?budget g x =
-  Dmc_obs.Counter.incr c_mincut;
-  let size, cut =
-    match terminals g x with
-    | None -> (1, [ x ])
-    | Some (from_set, to_set) ->
-        let r =
-          Vertex_cut.min_vertex_cut ?budget g ~from_set ~to_set ~uncuttable:to_set ()
-        in
-        (r.size, r.cut)
-  in
-  Dmc_obs.Histogram.observe h_cut_size size;
-  (size, cut)
-
 let min_wavefront ?budget g =
   let prepared = lazy (Vertex_cut.prepare g) in
   fun x ->

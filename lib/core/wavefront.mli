@@ -23,10 +23,6 @@ val min_wavefront : ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int
     vertex it is applied to, one vertex at a time.  A sweep over many
     vertices should apply it once to [g] and keep the result. *)
 
-val min_wavefront_cut :
-  ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int * Cdag.vertex list
-(** Also returns one minimum cut (the wavefront vertices). *)
-
 val wmax_exact : ?budget:Budget.t -> Cdag.t -> int
 (** [w_max = max_x |Wmin(x)|] over every vertex — one max-flow per
     vertex, so quadratic-ish; intended for small and mid-size CDAGs. *)

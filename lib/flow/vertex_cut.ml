@@ -31,6 +31,13 @@ let prepare g =
   Maxflow.snapshot net;
   { n; net }
 
+let check_vertex p v =
+  if v < 0 || v >= p.n then invalid_arg "Vertex_cut: vertex out of range"
+
+let make_uncuttable p v =
+  check_vertex p v;
+  Maxflow.set_capacity p.net (split_edge v) Maxflow.infinite
+
 (* Rewind to the base network, make the [uncuttable] split edges
    infinite and hang the terminal sets off the super-source and
    super-sink — edge for edge the network a fresh build would make, so
@@ -40,12 +47,12 @@ let load p ~uncuttable ~from_set ~source_cap ~to_set ~sink_cap =
   let each vs f =
     List.iter
       (fun v ->
-        if v < 0 || v >= p.n then invalid_arg "Vertex_cut: vertex out of range";
+        check_vertex p v;
         f v)
       vs
   in
   Maxflow.restore net;
-  each uncuttable (fun v -> Maxflow.set_capacity net (split_edge v) Maxflow.infinite);
+  List.iter (make_uncuttable p) uncuttable;
   each from_set (fun v -> ignore (Maxflow.add_edge net ~src ~dst:(v_in v) ~cap:source_cap));
   each to_set (fun v -> ignore (Maxflow.add_edge net ~src:(v_out v) ~dst ~cap:sink_cap))
 
@@ -132,7 +139,8 @@ let path_witness ?budget g ~from_set ~to_set ?(uncuttable = []) () =
 let disjoint_paths ?budget g ~src ~dst =
   if src = dst then invalid_arg "Vertex_cut.disjoint_paths: src = dst";
   let p = prepare g in
-  load p ~uncuttable:[ src; dst ] ~from_set:[] ~source_cap:0 ~to_set:[] ~sink_cap:0;
+  make_uncuttable p src;
+  make_uncuttable p dst;
   Maxflow.max_flow ?budget p.net ~src:(v_out src) ~dst:(v_in dst)
 
 let disjoint_set_paths g ~from_set ~to_set =
