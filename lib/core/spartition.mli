@@ -27,7 +27,11 @@ val out_set : Cdag.t -> Bitset.t -> Bitset.t
 val check : Cdag.t -> s:int -> color:int array -> (int, string) result
 (** Validate a color array as an [s]-partition; [Ok h] returns the
     number of non-empty subsets.  P2 is checked exactly as Definition 5
-    states it (no two-subset circuit). *)
+    states it (no two-subset circuit); a violation names the
+    lexicographically first circuit pair, otherwise the first subset in
+    block order whose [In] or [Out] exceeds [s].  Memory is
+    O(n + e + h), so a coloring with thousands of blocks (one per phase
+    of a long game) stays cheap. *)
 
 val of_game : Cdag.t -> s:int -> Rbw_game.move list -> int array
 (** The Theorem-1 construction: cut the (valid) game into consecutive
@@ -43,7 +47,12 @@ val min_h_exact : ?budget:Budget.t -> ?max_nodes:int -> Cdag.t -> s:int -> int
     by exhaustive branch-and-bound over set partitions of the compute
     vertices.  Only practical for small graphs; [max_nodes] (default
     20,000,000 search nodes) guards the search and raises
-    {!Optimal.Too_large} beyond it. *)
+    {!Optimal.Too_large} beyond it.  The search keeps each block's
+    [|In|], [|Out|] and the two-subset circuits up to date as vertices
+    are assigned, so a complete assignment is judged in O(blocks) —
+    with the same verdict {!check} would give.  Every search node
+    ticks [budget] once and every complete assignment a fixed
+    [1 + n/8] more. *)
 
 val max_subset_exact : ?budget:Budget.t -> Cdag.t -> s:int -> int
 (** An upper bound on [U(S)] — the largest subset usable in any valid

@@ -13,6 +13,7 @@ module Strategy = Dmc_core.Strategy
 module Optimal = Dmc_core.Optimal
 module Hierarchy = Dmc_machine.Hierarchy
 module Rng = Dmc_util.Rng
+module Budget = Dmc_util.Budget
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -134,6 +135,181 @@ let prop_min_h_below_game_h =
         | h_min -> h_min <= h_game
         | exception Optimal.Too_large _ -> true
       end)
+
+(* [check] as it stood with h bitsets and an h×h circuit matrix, for
+   colorings that pass its tagging checks: the reference the O(e)-memory
+   rewrite is pinned against, messages included. *)
+let reference_check g ~s ~color =
+  let h = 1 + Array.fold_left max (-1) color in
+  let blocks = Array.init h (fun _ -> Bitset.create (Cdag.n_vertices g)) in
+  Array.iteri (fun v c -> if c >= 0 then Bitset.add blocks.(c) v) color;
+  let adj = Array.make_matrix h h false in
+  Cdag.iter_edges g (fun u v ->
+      let cu = color.(u) and cv = color.(v) in
+      if cu >= 0 && cv >= 0 && cu <> cv then adj.(cu).(cv) <- true);
+  let circuit = ref None in
+  for i = h - 1 downto 0 do
+    for j = h - 1 downto i + 1 do
+      if adj.(i).(j) && adj.(j).(i) then circuit := Some (i, j)
+    done
+  done;
+  match !circuit with
+  | Some (i, j) -> Error (Printf.sprintf "circuit between subsets %d and %d" i j)
+  | None -> (
+      let nonempty = List.filter (fun b -> not (Bitset.is_empty b)) (Array.to_list blocks) in
+      let too_big set b = Bitset.cardinal (set g b) > s in
+      match
+        List.find_opt
+          (fun b -> too_big Spartition.in_set b || too_big Spartition.out_set b)
+          nonempty
+      with
+      | Some b when too_big Spartition.in_set b -> Error "subset with |In| > S"
+      | Some _ -> Error "subset with |Out| > S"
+      | None -> Ok (List.length nonempty))
+
+let prop_check_matches_reference =
+  QCheck.Test.make ~name:"check = bitset/matrix reference on random colorings" ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Dmc_gen.Random_dag.layered rng ~layers:4 ~width:4 ~edge_prob:0.4 in
+      let k = 1 + Rng.int rng 6 and s = 1 + Rng.int rng 6 in
+      let color =
+        Array.init (Cdag.n_vertices g) (fun v ->
+            if Cdag.is_input g v then -1 else Rng.int rng k)
+      in
+      Spartition.check g ~s ~color = reference_check g ~s ~color)
+
+(* One block per compute vertex of a long chain: the h×h circuit matrix
+   alone used to take 200 MB here. *)
+let test_check_many_blocks () =
+  let n = 5001 in
+  let g = Dmc_gen.Shapes.chain n in
+  let t0 = Unix.gettimeofday () in
+  (match Spartition.check g ~s:2 ~color:(Array.init n (fun v -> v - 1)) with
+  | Ok h -> check "one block per compute vertex" (n - 1) h
+  | Error m -> Alcotest.fail m);
+  check_bool "well under a second" true (Unix.gettimeofday () -. t0 < 0.5)
+
+(* The exact 2S-partition search as it stood before incremental leaf
+   validity, re-validating every complete assignment with [check]: the
+   reference [min_h_exact] is pinned against. *)
+let h_block_count = Dmc_obs.Histogram.make "spartition.block_count"
+
+let reference_min_h ~budget g ~s =
+  let vs =
+    Cdag.fold_vertices g (fun acc v -> if Cdag.is_input g v then acc else v :: acc) []
+    |> List.rev |> Array.of_list
+  in
+  let n' = Array.length vs and n = Cdag.n_vertices g in
+  let color = Array.make n (-1) and best = ref n' in
+  let rec assign i used =
+    Budget.tick budget;
+    if used >= !best then ()
+    else if i = n' then begin
+      Budget.tick_n budget (1 + (n / 8));
+      match Spartition.check g ~s ~color with
+      | Ok h ->
+          Dmc_obs.Histogram.observe h_block_count h;
+          if h < !best then best := h
+      | Error _ -> ()
+    end
+    else
+      for c = 0 to min used (n' - 1) do
+        color.(vs.(i)) <- c;
+        assign (i + 1) (max used (c + 1));
+        color.(vs.(i)) <- -1
+      done
+  in
+  if n' > 0 then assign 0 0;
+  !best
+
+let incremental_min_h ~budget g ~s = Spartition.min_h_exact ~budget g ~s
+
+(* A search's value or failure, ticks spent, and block-count
+   observations (count and sum), with instrumentation on. *)
+let search_trace search ?nodes g ~s =
+  let budget = Budget.create ?nodes () in
+  Dmc_obs.Registry.reset ();
+  Dmc_obs.Registry.set_enabled true;
+  let value =
+    Fun.protect ~finally:(fun () -> Dmc_obs.Registry.set_enabled false) @@ fun () ->
+    match search ~budget g ~s with
+    | h -> Printf.sprintf "h=%d" h
+    | exception Budget.Exhausted f -> Budget.failure_to_string f
+  in
+  Printf.sprintf "%s spent=%d leaves=%d sum=%d" value (Budget.spent budget)
+    (Dmc_obs.Histogram.count h_block_count)
+    (Dmc_obs.Histogram.sum h_block_count)
+
+let pinned ?nodes g ~s =
+  search_trace incremental_min_h ?nodes g ~s = search_trace reference_min_h ?nodes g ~s
+
+(* The same graph with vertex ids reversed, so the search also assigns
+   successors before their predecessors. *)
+let reversed g =
+  let n = Cdag.n_vertices g in
+  let b = Cdag.Builder.create () in
+  for _ = 1 to n do
+    ignore (Cdag.Builder.add_vertex b)
+  done;
+  let r v = n - 1 - v in
+  Cdag.iter_edges g (fun u v -> Cdag.Builder.add_edge b (r u) (r v));
+  Cdag.Builder.freeze
+    ~inputs:(List.map r (Cdag.inputs g))
+    ~outputs:(List.map r (Cdag.outputs g))
+    b
+
+(* Run to completion at every small S on the graph, its reversal, and
+   with no inputs or no outputs tagged; graphs have at most 9 vertices,
+   so n' <= 9.  Tight and loose S both matter: a circuit only decides a
+   leaf whose blocks already fit. *)
+let pinned_variants g =
+  List.for_all
+    (fun g -> List.for_all (fun s -> pinned g ~s) [ 1; 2; 3; 4; 5 ])
+    [
+      g;
+      reversed g;
+      Cdag.retag g ~inputs:[] ~outputs:(Cdag.outputs g);
+      Cdag.retag g ~inputs:(Cdag.inputs g) ~outputs:[];
+    ]
+
+let prop_min_h_pinned_layered =
+  QCheck.Test.make ~name:"min_h = leaf-check search, layered" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      pinned_variants
+        (Dmc_gen.Random_dag.layered (Rng.create seed) ~layers:3 ~width:3 ~edge_prob:0.5))
+
+let prop_min_h_pinned_daggen =
+  QCheck.Test.make ~name:"min_h = leaf-check search, daggen" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      pinned_variants
+        (Dmc_gen.Random_dag.daggen rng ~n:(4 + Rng.int rng 6) ~fat:0.5 ~density:0.4 ~ccr:1))
+
+(* A node budget below the full search's spend: both searches run out
+   at the same tick. *)
+let prop_min_h_budget_cut =
+  QCheck.Test.make ~name:"min_h = leaf-check search, budget cut mid-search" ~count:30
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = Dmc_gen.Random_dag.layered rng ~layers:3 ~width:3 ~edge_prob:0.5 in
+      let s = 1 + Rng.int rng 5 in
+      let full = Budget.create () in
+      ignore (Spartition.min_h_exact ~budget:full g ~s);
+      let nodes = 1 + Rng.int rng (Budget.spent full) in
+      let trace = search_trace incremental_min_h ~nodes g ~s in
+      String.starts_with ~prefix:"budget-exhausted" trace
+      && trace = search_trace reference_min_h ~nodes g ~s)
+
+let test_min_h_multigrid_pinned () =
+  let g = Dmc_gen.Workload.parse_exn "multigrid:33,3,2" in
+  Alcotest.(check string) "incremental = leaf-check search"
+    (search_trace reference_min_h ~nodes:500_000 g ~s:48)
+    (search_trace incremental_min_h ~nodes:500_000 g ~s:48)
 
 (* ------------------------------------------------------------------ *)
 (* Wavefronts                                                          *)
@@ -426,6 +602,8 @@ let () =
           Alcotest.test_case "of_game valid" `Quick test_of_game_produces_valid_partition;
           Alcotest.test_case "min_h trivial" `Quick test_min_h_exact_trivial;
           Alcotest.test_case "min_h forced split" `Quick test_min_h_exact_forced_split;
+          Alcotest.test_case "check 5000 singleton blocks" `Quick test_check_many_blocks;
+          Alcotest.test_case "min_h pinned, multigrid" `Quick test_min_h_multigrid_pinned;
           Alcotest.test_case "max subset" `Quick test_max_subset_exact;
           Alcotest.test_case "bound arithmetic" `Quick test_bound_arithmetic;
         ] );
@@ -449,7 +627,14 @@ let () =
         ] );
       qsuite "decompose-props" [ prop_decomposed_sound ];
       qsuite "witness-props" [ prop_witness_always_verifies ];
-      qsuite "partition-props" [ prop_min_h_below_game_h ];
+      qsuite "partition-props"
+        [
+          prop_min_h_below_game_h;
+          prop_check_matches_reference;
+          prop_min_h_pinned_layered;
+          prop_min_h_pinned_daggen;
+          prop_min_h_budget_cut;
+        ];
       qsuite "certify-props" [ prop_certify_wavefront ];
       qsuite "wavefront-structural" [ prop_wavefront_sound_structural ];
       ( "analytic",
