@@ -232,87 +232,85 @@ let governed_max_indeg g =
 
 let c_ticks = Dmc_obs.Counter.make "budget.ticks"
 
-let governed_row ?timeout ?node_budget ?(samples = 64) ?wavefront g ~s engine =
+(* Each ladder rung gets its own fresh budget: a rung that times out
+   must not also starve its fallback.  The first rung that succeeds
+   wins the row. *)
+let run_ladder ?timeout ?node_budget ~engine ~kind rungs =
   let fresh_budget () =
     match (timeout, node_budget) with
     | None, None -> None
     | _ -> Some (Budget.create ?deadline:timeout ?nodes:node_budget ())
   in
-  let floor = io_floor g in
-  (* Each ladder rung gets its own fresh budget: a rung that times out
-     must not also starve its fallback.  The first rung that succeeds
-     wins the row. *)
-  let run_ladder engine kind rungs =
-    let t0 = Budget.now () in
-    let rec go attempts = function
-      | [] ->
-          {
-            engine;
-            kind;
-            value = None;
-            rung = "-";
-            attempts = List.rev attempts;
-            elapsed = Budget.now () -. t0;
-          }
-      | (rung, f) :: rest -> (
-          (* Terminal rungs (the I/O floor, the trivial schedule) are
-             O(n) and exist precisely so a starved budget still yields a
-             sound value — they run outside the budget.  The floor
-             engine's own row is terminal in the same sense: its value
-             is already computed, and budgeting it would let a fully
-             expired deadline (the check races the clock even for a
-             pure return) strip the one row that may never lose its
-             value. *)
-          let budget =
-            if rung = "floor" || rung = "trivial" || engine = "floor" then None
-            else fresh_budget ()
-          in
-          let outcome =
-            Dmc_obs.Span.with_
-              ~attrs:[ ("engine", engine); ("rung", rung) ]
-              (engine ^ "/" ^ rung)
-              (fun () ->
-                let r = Engine.run ?budget (fun () -> f budget) in
-                (match budget with
-                | Some b ->
-                    let spent = Budget.spent b in
-                    Dmc_obs.Counter.add c_ticks spent;
-                    Dmc_obs.Span.note "ticks" (string_of_int spent)
-                | None -> ());
-                (match r with
-                | Ok _ -> Dmc_obs.Span.note "outcome" "ok"
-                | Error e -> Dmc_obs.Span.note "outcome" (failure_token e));
-                r)
-          in
-          match outcome with
-          | Ok v ->
-              {
-                engine;
-                kind;
-                value = Some v;
-                rung;
-                attempts = List.rev attempts;
-                elapsed = Budget.now () -. t0;
-              }
-          | Error e -> go ((rung, e) :: attempts) rest)
-    in
-    go [] rungs
+  let t0 = Budget.now () in
+  let rec go attempts = function
+    | [] ->
+        {
+          engine;
+          kind;
+          value = None;
+          rung = "-";
+          attempts = List.rev attempts;
+          elapsed = Budget.now () -. t0;
+        }
+    | (rung, f) :: rest -> (
+        (* Terminal rungs (the I/O floor, the trivial schedule) are
+           O(n) and exist precisely so a starved budget still yields a
+           sound value — they run outside the budget.  The floor
+           engine's own row is terminal in the same sense: its value
+           is already computed, and budgeting it would let a fully
+           expired deadline (the check races the clock even for a
+           pure return) strip the one row that may never lose its
+           value. *)
+        let budget =
+          if rung = "floor" || rung = "trivial" || engine = "floor" then None
+          else fresh_budget ()
+        in
+        let outcome =
+          Dmc_obs.Span.with_
+            ~attrs:[ ("engine", engine); ("rung", rung) ]
+            (engine ^ "/" ^ rung)
+            (fun () ->
+              let r = Engine.run ?budget (fun () -> f budget) in
+              (match budget with
+              | Some b ->
+                  let spent = Budget.spent b in
+                  Dmc_obs.Counter.add c_ticks spent;
+                  Dmc_obs.Span.note "ticks" (string_of_int spent)
+              | None -> ());
+              (match r with
+              | Ok _ -> Dmc_obs.Span.note "outcome" "ok"
+              | Error e -> Dmc_obs.Span.note "outcome" (failure_token e));
+              r)
+        in
+        match outcome with
+        | Ok v ->
+            {
+              engine;
+              kind;
+              value = Some v;
+              rung;
+              attempts = List.rev attempts;
+              elapsed = Budget.now () -. t0;
+            }
+        | Error e -> go ((rung, e) :: attempts) rest)
   in
+  go [] rungs
+
+let wavefront_rungs ?samples g =
+  let l = lazy (Wavefront.ladder ?samples g) in
+  [
+    ("exact", fun b ~s -> Wavefront.exact_rung ?budget:b (Lazy.force l) ~s);
+    ("sampled", fun b ~s -> Wavefront.sampled_rung ?budget:b (Lazy.force l) ~s);
+  ]
+
+let governed_row ?timeout ?node_budget ?(samples = 64) ?wavefront g ~s engine =
+  let floor = io_floor g in
+  let run_ladder engine kind = run_ladder ?timeout ?node_budget ~engine ~kind in
   let floor_rung = ("floor", fun _ -> floor) in
   let wavefront_ladder () =
     run_ladder "wavefront" Lower
-      [
-        ( "exact",
-          fun b ->
-            Wavefront.lower_bound_via (Wavefront.wmax_exact ?budget:b) g ~s );
-        ( "sampled",
-          fun b ->
-            let rng = Dmc_util.Rng.create 0x5eed in
-            Wavefront.lower_bound_via
-              (fun g' -> Wavefront.wmax_sampled_anytime ?budget:b rng g' ~samples)
-              g ~s );
-        floor_rung;
-      ]
+      (List.map (fun (rung, f) -> (rung, fun b -> f b ~s)) (wavefront_rungs ~samples g)
+      @ [ floor_rung ])
   in
   (* The wavefront's achieved value is the middle rung of every other
      lower-bound ladder (it is a sound lower bound for the same

@@ -171,6 +171,27 @@ val governed_engines : (string * kind) list
     ["floor"], ["wavefront"], ["partition-h"], ["partition-u"],
     ["span"], ["optimal"], ["belady"], ["lru"]. *)
 
+val run_ladder :
+  ?timeout:float -> ?node_budget:int -> engine:string -> kind:kind ->
+  (string * (Dmc_util.Budget.t option -> int)) list -> row
+(** The ladder runner behind {!governed_row} and [Mp_bounds.row]: try
+    the named rungs in order and return the first value.  Every rung
+    runs under its own fresh budget ([timeout] seconds and/or
+    [node_budget] ticks; none when both are omitted), except the
+    terminal rungs named ["floor"] and ["trivial"] and every rung of
+    the ["floor"] engine, which run unbudgeted.  Each rung runs in an
+    [engine/rung] span noting its [outcome] and, when budgeted, its
+    [ticks], which are also added to the [budget.ticks] counter.  A row
+    whose rungs all fail has no value. *)
+
+val wavefront_rungs :
+  ?samples:int -> Cdag.t ->
+  (string * (Dmc_util.Budget.t option -> s:int -> int)) list
+(** The wavefront ladder's budgeted rungs, ["exact"] then ["sampled"]
+    ([samples] draws per stripped graph, default 64), sharing one
+    {!Wavefront.ladder} built on first use: the sampled rung replays
+    the exact rung's completed min-cuts instead of re-running them. *)
+
 val governed_row :
   ?timeout:float -> ?node_budget:int -> ?samples:int -> ?wavefront:int ->
   Cdag.t -> s:int -> string -> row

@@ -79,79 +79,30 @@ let span g =
 
 let g_cost = 1
 
-(* The same ladder discipline as {!Bounds.governed_row}: each rung
-   gets a fresh budget so a starved rung never starves its fallback,
-   and the first rung that succeeds wins the row. *)
+(* The ladder runner of {!Bounds.governed_row}: each rung gets a
+   fresh budget so a starved rung never starves its fallback, and the
+   first rung that succeeds wins the row. *)
 let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
   if p <= 0 then invalid_arg "Mp_bounds.row: p must be positive";
   if s <= 0 then invalid_arg "Mp_bounds.row: s must be positive";
-  let fresh_budget () =
-    match (timeout, node_budget) with
-    | None, None -> None
-    | _ -> Some (Budget.create ?deadline:timeout ?nodes:node_budget ())
-  in
   let floor = Bounds.io_floor g in
   let kind =
     match kind_of engine with
     | Some k -> k
     | None -> invalid_arg ("Mp_bounds.row: unknown engine " ^ engine)
   in
-  let run_ladder rungs =
-    let t0 = Budget.now () in
-    let rec go attempts = function
-      | [] ->
-          {
-            Bounds.engine;
-            kind;
-            value = None;
-            rung = "-";
-            attempts = List.rev attempts;
-            elapsed = Budget.now () -. t0;
-          }
-      | (rung, f) :: rest -> (
-          (* Terminal rungs are O(n + e) and exist so a starved budget
-             still yields a sound value — they run outside it. *)
-          let budget =
-            if rung = "floor" || rung = "trivial" then None else fresh_budget ()
-          in
-          let outcome =
-            Dmc_obs.Span.with_
-              ~attrs:[ ("engine", engine); ("rung", rung) ]
-              (engine ^ "/" ^ rung)
-              (fun () -> Bounds.Engine.run ?budget (fun () -> f budget))
-          in
-          match outcome with
-          | Ok v ->
-              {
-                Bounds.engine;
-                kind;
-                value = Some v;
-                rung;
-                attempts = List.rev attempts;
-                elapsed = Budget.now () -. t0;
-              }
-          | Error e -> go ((rung, e) :: attempts) rest)
-    in
-    go [] rungs
-  in
+  let run_ladder = Bounds.run_ladder ?timeout ?node_budget ~engine ~kind in
   let floor_rung = ("floor", fun _ -> floor) in
-  (* IO_mp(p, S) >= IO_1(p * S): the pooled-memory simulation. *)
-  let comm_lb_exact b =
-    Parallel_bounds.mp_comm_from_sequential ~p
-      ~seq_lb:(fun ~s ->
-        Wavefront.lower_bound_via (Wavefront.wmax_exact ?budget:b) g ~s)
-      ~s
-    |> max floor
-  in
-  let comm_lb_sampled b =
-    let rng = Dmc_util.Rng.create 0x5eed in
-    Parallel_bounds.mp_comm_from_sequential ~p
-      ~seq_lb:(fun ~s ->
-        Wavefront.lower_bound_via
-          (fun g' -> Wavefront.wmax_sampled_anytime ?budget:b rng g' ~samples)
-          g ~s)
-      ~s
-    |> max floor
+  (* IO_mp(p, S) >= IO_1(p * S): the pooled-memory simulation, over
+     the sequential wavefront ladder's shared rungs. *)
+  let comm_lb_rungs =
+    List.map
+      (fun (rung, seq_lb) ->
+        ( rung,
+          fun b ->
+            Parallel_bounds.mp_comm_from_sequential ~p ~seq_lb:(seq_lb b) ~s
+            |> max floor ))
+      (Bounds.wavefront_rungs ~samples g)
   in
   let max_indeg =
     Cdag.fold_vertices g
@@ -171,9 +122,7 @@ let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
           "schedule rejected at step %d: %s" e.Mp_game.step e.Mp_game.reason
   in
   match engine with
-  | "mp-comm-lb" ->
-      run_ladder
-        [ ("exact", comm_lb_exact); ("sampled", comm_lb_sampled); floor_rung ]
+  | "mp-comm-lb" -> run_ladder (comm_lb_rungs @ [ floor_rung ])
   | "mp-comm-ub" ->
       run_ladder
         [
@@ -187,11 +136,10 @@ let row ?timeout ?node_budget ?(samples = 64) g ~p ~s engine =
         ]
   | "mp-time-lb" ->
       run_ladder
-        [
-          ("exact", fun b -> time_lb ~comm_lb:(comm_lb_exact b));
-          ("sampled", fun b -> time_lb ~comm_lb:(comm_lb_sampled b));
-          ("floor", fun _ -> time_lb ~comm_lb:floor);
-        ]
+        (List.map
+           (fun (rung, comm_lb) -> (rung, fun b -> time_lb ~comm_lb:(comm_lb b)))
+           comm_lb_rungs
+        @ [ ("floor", fun _ -> time_lb ~comm_lb:floor) ])
   | "mp-time-ub" ->
       run_ladder
         [

@@ -1,4 +1,5 @@
 module Bitset = Dmc_util.Bitset
+module Budget = Dmc_util.Budget
 module Rng = Dmc_util.Rng
 module Cdag = Dmc_cdag.Cdag
 module Reach = Dmc_cdag.Reach
@@ -16,19 +17,20 @@ let terminals g x =
   if Bitset.is_empty desc then None
   else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
 
-let min_wavefront ?budget g =
-  let prepared = lazy (Vertex_cut.prepare g) in
-  fun x ->
-    Dmc_obs.Counter.incr c_mincut;
-    let size =
-      match terminals g x with
-      | None -> 1
-      | Some (from_set, to_set) ->
-          Vertex_cut.cut_size ?budget (Lazy.force prepared) ~from_set ~to_set
-            ~uncuttable:to_set ()
-    in
-    Dmc_obs.Histogram.observe h_cut_size size;
-    size
+(* One min-cut query on [g]'s lazily prepared split network. *)
+let cut_of ?budget g prepared x =
+  Dmc_obs.Counter.incr c_mincut;
+  let size =
+    match terminals g x with
+    | None -> 1
+    | Some (from_set, to_set) ->
+        Vertex_cut.cut_size ?budget (Lazy.force prepared) ~from_set ~to_set
+          ~uncuttable:to_set ()
+  in
+  Dmc_obs.Histogram.observe h_cut_size size;
+  size
+
+let min_wavefront ?budget g = cut_of ?budget g (lazy (Vertex_cut.prepare g))
 
 let wmax_exact ?budget g =
   Dmc_obs.Span.with_
@@ -54,19 +56,18 @@ let wmax_sampled ?budget rng g ~samples =
         done;
         !best)
 
-(* Anytime variant for the fallback ladder: sample until the budget
+(* Anytime sampling for the fallback ladder: draw until the budget
    runs out and keep the best bound found so far.  Sound because
    Lemma 2 holds for every vertex, so a partial sweep only weakens the
-   bound, never invalidates it. *)
-let wmax_sampled_anytime ?budget rng g ~samples =
-  let n = Cdag.n_vertices g in
+   bound, never invalidates it.  [wavefront] answers one vertex of an
+   [n]-vertex graph. *)
+let sample_anytime rng n ~samples wavefront =
   if n = 0 then 0
   else
     Dmc_obs.Span.with_
       ~attrs:[ ("n", string_of_int n); ("samples", string_of_int samples) ]
       "wavefront.wmax_sampled_anytime"
       (fun () ->
-        let wavefront = min_wavefront ?budget g in
         let best = ref 0 in
         let completed = ref 0 in
         (try
@@ -75,9 +76,12 @@ let wmax_sampled_anytime ?budget rng g ~samples =
              best := max !best (wavefront x);
              incr completed
            done
-         with Dmc_util.Budget.Exhausted _ -> ());
+         with Budget.Exhausted _ -> ());
         Dmc_obs.Span.note "completed" (string_of_int !completed);
         !best)
+
+let wmax_sampled_anytime ?budget rng g ~samples =
+  sample_anytime rng (Cdag.n_vertices g) ~samples (min_wavefront ?budget g)
 
 let lemma2_bound ~wavefront ~s = max 0 (2 * (wavefront - s))
 
@@ -127,30 +131,133 @@ let verify_witness g w =
 
 let exact_threshold = 512
 
-(* Two sound variants: drop only the inputs (outputs keep their
-   wavefront paths), or drop both and bank |dO| as forced stores.
-   Take the better.  [wmax_of] computes the max min-wavefront of a
-   stripped graph; parameterizing it lets the fallback ladder swap the
-   exact sweep for the anytime sampler without duplicating the
-   stripping logic. *)
-let lower_bound_via wmax_of g ~s =
-  let wmax stripped =
-    if Cdag.n_vertices stripped = 0 then 0 else wmax_of stripped
-  in
+(* Corollary 2's two sound variants: drop only the inputs (outputs
+   keep their wavefront paths), or drop both and bank |dO| as forced
+   stores.  Each stripped graph comes with the I/O it credits back. *)
+let strip g =
   let part_i, di = Subgraph.drop_inputs g in
-  let via_inputs = lemma2_bound ~wavefront:(wmax part_i.Subgraph.graph) ~s + di in
   let part_io, di', d_o = Subgraph.drop_io g in
-  let via_both =
-    lemma2_bound ~wavefront:(wmax part_io.Subgraph.graph) ~s + di' + d_o
-  in
-  max via_inputs via_both
+  ((part_i.Subgraph.graph, di), (part_io.Subgraph.graph, di' + d_o))
+
+(* Take the better variant, given each stripped graph's max
+   min-wavefront and credit. *)
+let combine ~s (w_inputs, inputs_credit) (w_io, io_credit) =
+  max
+    (lemma2_bound ~wavefront:w_inputs ~s + inputs_credit)
+    (lemma2_bound ~wavefront:w_io ~s + io_credit)
 
 let lower_bound ?budget ?(samples = 64) ?rng g ~s =
   let wmax stripped =
-    if Cdag.n_vertices stripped <= exact_threshold then
-      wmax_exact ?budget stripped
+    let n = Cdag.n_vertices stripped in
+    if n = 0 then 0
+    else if n <= exact_threshold then wmax_exact ?budget stripped
     else
       let rng = match rng with Some r -> r | None -> Rng.create 0x5eed in
       wmax_sampled ?budget rng stripped ~samples
   in
-  lower_bound_via wmax g ~s
+  let (g_inputs, inputs_credit), (g_io, io_credit) = strip g in
+  let w_inputs = wmax g_inputs in
+  let w_io = wmax g_io in
+  combine ~s (w_inputs, inputs_credit) (w_io, io_credit)
+
+(* ------------------------------------------------------------------ *)
+(* The fallback ladder's shared min-cut queries                        *)
+
+(* One stripped graph of a ladder: its split network, prepared on first
+   need and shared by both rungs, and the record of every query that
+   completed under a budget — its value ([-1]: none) and its ticks. *)
+type part = {
+  graph : Cdag.t;
+  credit : int;
+  prepared : Vertex_cut.prepared Lazy.t;
+  value : int array;
+  ticks : int array;
+}
+
+type ladder = {
+  samples : int;
+  inputs : part;  (* inputs dropped *)
+  io : part;  (* inputs and outputs dropped *)
+}
+
+let sampler_seed = 0x5eed
+
+let ladder ?(samples = 64) g =
+  let part (graph, credit) =
+    let n = Cdag.n_vertices graph in
+    {
+      graph;
+      credit;
+      prepared = lazy (Vertex_cut.prepare graph);
+      value = Array.make n (-1);
+      ticks = Array.make n 0;
+    }
+  in
+  let inputs, io = strip g in
+  { samples; inputs = part inputs; io = part io }
+
+(* A recorded vertex re-charges its ticks instead of re-running the
+   flow; a query cut short records nothing. *)
+let query ?budget part x =
+  let recorded = part.value.(x) in
+  if recorded >= 0 then begin
+    Option.iter (fun b -> Budget.replay b part.ticks.(x)) budget;
+    recorded
+  end
+  else
+    match budget with
+    | None -> cut_of part.graph part.prepared x
+    | Some b ->
+        let before = Budget.spent b in
+        let w = cut_of ~budget:b part.graph part.prepared x in
+        part.value.(x) <- w;
+        part.ticks.(x) <- Budget.spent b - before;
+        w
+
+(* The vertices the sampled rung draws when none of its queries is cut
+   short: one generator across both stripped graphs, inputs-dropped
+   first. *)
+let sampler_draws l =
+  let rng = Rng.create sampler_seed in
+  let draw part =
+    let n = Cdag.n_vertices part.graph in
+    if n = 0 then [||] else Array.init (max 0 l.samples) (fun _ -> Rng.int rng n)
+  in
+  let d_inputs = draw l.inputs in
+  let d_io = draw l.io in
+  (d_inputs, d_io)
+
+let exact_rung ?budget l ~s =
+  let n part = string_of_int (Cdag.n_vertices part.graph) in
+  Dmc_obs.Span.with_
+    ~attrs:[ ("n_inputs", n l.inputs); ("n_io", n l.io) ]
+    "wavefront.exact_sweep"
+    (fun () ->
+      let sweeper part =
+        let seen = Bitset.create (Cdag.n_vertices part.graph) and best = ref 0 in
+        let visit x =
+          if not (Bitset.mem seen x) then begin
+            Bitset.add seen x;
+            best := max !best (query ?budget part x)
+          end
+        in
+        (visit, best)
+      in
+      let visit_inputs, w_inputs = sweeper l.inputs in
+      let visit_io, w_io = sweeper l.io in
+      let d_inputs, d_io = sampler_draws l in
+      Array.iter visit_inputs d_inputs;
+      Array.iter visit_io d_io;
+      Cdag.iter_vertices l.inputs.graph visit_inputs;
+      Cdag.iter_vertices l.io.graph visit_io;
+      combine ~s (!w_inputs, l.inputs.credit) (!w_io, l.io.credit))
+
+let sampled_rung ?budget l ~s =
+  let rng = Rng.create sampler_seed in
+  let sample part =
+    sample_anytime rng (Cdag.n_vertices part.graph) ~samples:l.samples
+      (query ?budget part)
+  in
+  let w_inputs = sample l.inputs in
+  let w_io = sample l.io in
+  combine ~s (w_inputs, l.inputs.credit) (w_io, l.io.credit)

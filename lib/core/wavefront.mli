@@ -35,8 +35,8 @@ val wmax_sampled : ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
 val wmax_sampled_anytime :
   ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
 (** Like {!wmax_sampled}, but budget exhaustion mid-sweep returns the
-    best wavefront found so far instead of raising — the graceful
-    degradation rung of the CLI's fallback ladder.  With no completed
+    best wavefront found so far instead of raising — the loop of the
+    fallback ladder's {!sampled_rung}.  With no completed
     sample the result is 0 (so {!lower_bound}-style formulas fall back
     to their floors). *)
 
@@ -68,15 +68,6 @@ val verify_witness : Cdag.t -> witness -> bool
     [Desc(x)], and the paths share no vertex outside [Desc(x)].
     Deliberately reimplements nothing from the flow layer. *)
 
-val lower_bound_via : (Cdag.t -> int) -> Cdag.t -> s:int -> int
-(** The {!lower_bound} formula with a caller-supplied max-min-wavefront
-    sweep: strips inputs (resp. inputs and outputs), applies [wmax] to
-    each stripped graph, and combines via {!lemma2_bound} plus the
-    dropped-tag credits.  Sound for any [wmax] that returns
-    [|Wmin(x)|] of {e some} vertex [x] (Lemma 2 holds for every
-    vertex) — this is the hook the graceful-degradation ladder uses to
-    swap {!wmax_exact} for {!wmax_sampled_anytime}. *)
-
 val lower_bound :
   ?budget:Budget.t -> ?samples:int -> ?rng:Rng.t -> Cdag.t -> s:int -> int
 (** End-to-end bound for an arbitrary CDAG: strip the tagged
@@ -89,3 +80,57 @@ val lower_bound :
 val exact_threshold : int
 (** Vertex-count cutoff (512) below which {!lower_bound} uses
     {!wmax_exact}. *)
+
+(** {1 The fallback ladder}
+
+    The governed wavefront row ([Bounds.governed_row], and the
+    multi-processor communication rows of [Mp_bounds.row]) computes the
+    {!lower_bound} formula twice under separate budgets: an exact rung
+    over every vertex, then an anytime sampled rung when the exact one
+    runs out.  Both rungs ask the same min-cut queries of the same two
+    stripped graphs, so a {!ladder} holds one set of them:
+
+    - {b one network per stripped graph}: the graph is stripped once
+      (inputs dropped; inputs and outputs dropped) and each stripped
+      graph keeps its prepared split network;
+    - {b records}: every query that completes under a budget records
+      its value and the ticks it spent;
+    - {b replay}: a recorded vertex asked again does not run the flow —
+      its ticks are re-charged with [Budget.replay], which raises
+      exactly where that many single ticks would, and the recorded
+      value is returned.  A query cut short records nothing.
+
+    Each query's ticks are a function of the graph and the vertex alone
+    (the prepared network restores to the same base network every
+    time), so a rung's result and [Budget.spent] are the ones a fresh
+    network per rung gives.  The exact rung's sweep order is free: it
+    exhausts iff its per-vertex ticks sum to at least the node budget,
+    and then [spent] equals the budget; otherwise it returns the same
+    maximum.  It therefore visits first the vertices the sampled rung
+    would draw if none of its queries were cut short, so that when the
+    exact rung exhausts, the sampled rung is almost all replay.  What
+    does change is how many flows run: the [wavefront.mincut_calls],
+    [wavefront.cut_size] and [dinic.*] observations count only the
+    queries actually flowed. *)
+
+type ladder
+(** One graph's stripped graphs, their prepared networks and query
+    records.  Mutable: one rung at a time. *)
+
+val ladder : ?samples:int -> Cdag.t -> ladder
+(** Strip the graph (Corollary 2's two variants).  [samples]
+    (default 64) is the sampled rung's draw count per stripped graph. *)
+
+val exact_rung : ?budget:Budget.t -> ladder -> s:int -> int
+(** The {!lower_bound} formula with the exact max min-wavefront of both
+    stripped graphs.  Visits the sampled rung's draws first (seed
+    [0x5eed], [samples] per stripped graph, inputs-dropped first, each
+    vertex once), then every other vertex in id order.  Raises
+    [Budget.Exhausted] when [budget] runs out. *)
+
+val sampled_rung : ?budget:Budget.t -> ladder -> s:int -> int
+(** The same formula over {!wmax_sampled_anytime}'s loop: one
+    generator (seed [0x5eed]) across both stripped graphs,
+    inputs-dropped first, [samples] draws each, and budget exhaustion
+    keeps the best wavefront found so far instead of raising.  Sound
+    for the same reason: Lemma 2 holds for every vertex. *)

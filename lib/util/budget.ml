@@ -117,6 +117,39 @@ let tick_n b k =
     end
   end
 
+(* [k] single ticks in closed form.  The i-th tick raises on the node
+   limit once [nodes_left - i <= 0]; before that, every tick that lands
+   [ticks] on a multiple of [clock_period] polls the clock, then the
+   cancellation hook, exactly as [tick] would. *)
+let replay b k =
+  if k > 0 then begin
+    let node_stop = if b.nodes_left = max_int then k + 1 else max 1 b.nodes_left in
+    let advance j =
+      b.ticks <- b.ticks + j;
+      if b.nodes_left <> max_int then b.nodes_left <- b.nodes_left - j
+    in
+    let last_poll = min k (node_stop - 1) in
+    let rec poll j =
+      if j <= last_poll then begin
+        if over_deadline b then begin
+          advance j;
+          raise (Exhausted Timeout)
+        end;
+        if b.cancel () then begin
+          advance j;
+          raise (Exhausted Cancelled)
+        end;
+        poll (j + clock_period)
+      end
+    in
+    poll (clock_period - (b.ticks mod clock_period));
+    if node_stop <= k then begin
+      advance node_stop;
+      raise (Exhausted Budget_exhausted)
+    end;
+    advance k
+  end
+
 let spent b = b.ticks
 
 let elapsed b = now () -. b.started

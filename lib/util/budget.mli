@@ -79,7 +79,23 @@ val tick_n : t -> int -> unit
 (** [tick_n b k] accounts [k] units at once — for engine steps whose
     cost is proportional to the graph size (a whole partition-validity
     check, say), so the deadline overshoot stays proportional to wall
-    time rather than to step count.  [k <= 0] is a no-op. *)
+    time rather than to step count.  [k <= 0] is a no-op.
+
+    All [k] ticks are charged even when the node limit falls inside
+    them: {!spent} overshoots the limit by the rest of the step.  The
+    2S-partition search's fixed leaf charge relies on this, so its
+    budgets and anytime values stay where they were. *)
+
+val replay : t -> int -> unit
+(** [replay b k] has exactly the effect of [k] calls to {!tick}: it
+    stops where the [k] single ticks would — at the tick that spends
+    the node limit (one tick on an already-exhausted guard), or at the
+    first clock poll that finds the deadline passed or [cancel] true —
+    with the same {!spent}, and raises the same {!Exhausted}.  Unlike
+    {!tick_n} it never charges past that point.  For re-charging work
+    whose tick count was recorded when it ran: a min-cut query asked
+    again costs its recorded ticks without running the flow.  [k <= 0]
+    is a no-op. *)
 
 val check : t -> failure option
 (** Non-raising probe of the same conditions (checks the clock

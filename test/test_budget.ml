@@ -91,6 +91,68 @@ let test_failure_strings () =
   check_string "too-large" "too-large: x"
     (Budget.failure_to_string (Budget.Too_large "x"))
 
+(* [Budget.replay b k] against [k] single ticks on a twin guard: the
+   same failure or none, the same [spent], and the same number of
+   cancellation polls.  The twins differ only in how the [k] ticks are
+   charged; [prior] single ticks first (past the node limit too) put
+   the guard anywhere, exhausted included. *)
+let replay_matches_ticks ((nodes, prior, k), (cancel_after, expired)) =
+  let run charge =
+    let polls = ref 0 in
+    let cancel =
+      Option.map
+        (fun m () ->
+          incr polls;
+          !polls > m)
+        cancel_after
+    in
+    let deadline = if expired then Some (-1.0) else None in
+    let b = Budget.create ?deadline ?nodes ?cancel () in
+    for _ = 1 to prior do
+      try Budget.tick b with Budget.Exhausted _ -> ()
+    done;
+    let outcome =
+      match charge b with () -> None | exception Budget.Exhausted f -> Some f
+    in
+    (outcome, Budget.spent b, !polls)
+  in
+  run (fun b -> Budget.replay b k)
+  = run (fun b ->
+        for _ = 1 to k do
+          Budget.tick b
+        done)
+
+let prop_replay_matches_ticks =
+  QCheck.Test.make ~name:"replay = k single ticks" ~count:1000
+    QCheck.(
+      pair
+        (triple (option (int_bound 1500)) (int_bound 1200) (int_bound 1500))
+        (pair (option (int_bound 8)) bool))
+    replay_matches_ticks
+
+let test_replay_boundaries () =
+  (* the tick that spends the limit raises; an exhausted guard takes
+     one more tick and raises again; k = 0 charges nothing *)
+  let b = Budget.create ~nodes:10 () in
+  Budget.replay b 9;
+  check "nine replayed" 9 (Budget.spent b);
+  (match Budget.replay b 5 with
+  | () -> Alcotest.fail "replay past the limit should exhaust"
+  | exception Budget.Exhausted Budget.Budget_exhausted -> ());
+  check "stops at the limit" 10 (Budget.spent b);
+  Budget.replay b 0;
+  check "k = 0 is free" 10 (Budget.spent b);
+  (match Budget.replay b 3 with
+  | () -> Alcotest.fail "exhausted guard should raise"
+  | exception Budget.Exhausted Budget.Budget_exhausted -> ());
+  check "one extra tick" 11 (Budget.spent b);
+  (* tick_n, by contrast, charges the whole step *)
+  let b' = Budget.create ~nodes:10 () in
+  (match Budget.tick_n b' 25 with
+  | () -> Alcotest.fail "tick_n past the limit should exhaust"
+  | exception Budget.Exhausted Budget.Budget_exhausted -> ());
+  check "tick_n overshoots" 25 (Budget.spent b')
+
 (* ------------------------------------------------------------------ *)
 (* Engines honor their budgets                                         *)
 
@@ -227,6 +289,216 @@ let test_governed_status_strings () =
     (Bounds.row_status opt)
 
 (* ------------------------------------------------------------------ *)
+(* The shared wavefront ladder against the per-rung path it replaced   *)
+
+(* Reference copy of the per-rung path: every rung strips the graph
+   again and answers every query with a fresh flow on its own network
+   ([min_wavefront] partially applied once per stripped graph). *)
+let ref_lower_bound_via wmax_of g ~s =
+  let wmax stripped =
+    if Cdag.n_vertices stripped = 0 then 0 else wmax_of stripped
+  in
+  let part_i, di = Dmc_cdag.Subgraph.drop_inputs g in
+  let via_inputs =
+    Wavefront.lemma2_bound ~wavefront:(wmax part_i.Dmc_cdag.Subgraph.graph) ~s + di
+  in
+  let part_io, di', d_o = Dmc_cdag.Subgraph.drop_io g in
+  let via_both =
+    Wavefront.lemma2_bound ~wavefront:(wmax part_io.Dmc_cdag.Subgraph.graph) ~s
+    + di' + d_o
+  in
+  max via_inputs via_both
+
+let ref_wmax_exact ?budget g =
+  let wavefront = Wavefront.min_wavefront ?budget g in
+  Cdag.fold_vertices g (fun acc x -> max acc (wavefront x)) 0
+
+let ref_wmax_sampled_anytime ?budget rng g ~samples =
+  let n = Cdag.n_vertices g in
+  let wavefront = Wavefront.min_wavefront ?budget g in
+  let best = ref 0 in
+  (try
+     for _ = 1 to samples do
+       let x = Rng.int rng n in
+       best := max !best (wavefront x)
+     done
+   with Budget.Exhausted _ -> ());
+  !best
+
+let ref_rungs ~samples g =
+  [
+    ("exact", fun b ~s -> ref_lower_bound_via (ref_wmax_exact ?budget:b) g ~s);
+    ( "sampled",
+      fun b ~s ->
+        let rng = Rng.create 0x5eed in
+        ref_lower_bound_via
+          (fun g' -> ref_wmax_sampled_anytime ?budget:b rng g' ~samples)
+          g ~s );
+  ]
+
+(* Each rung in order under its own fresh [nodes] budget, ladder
+   discipline aside: every rung runs, so each one's value or failure
+   and its [spent] are observed. *)
+let run_rungs rungs ~nodes ~s =
+  List.map
+    (fun (rung, f) ->
+      let b = Budget.create ~nodes () in
+      let outcome =
+        match f (Some b) ~s with v -> Ok v | exception Budget.Exhausted e -> Error e
+      in
+      (rung, outcome, Budget.spent b))
+    rungs
+
+let unlimited_ticks rung ~s =
+  let b = Budget.create () in
+  ignore (rung (Some b) ~s);
+  Budget.spent b
+
+(* Node budgets around the rungs' unlimited tick counts: the exact rung
+   finishes (t_exact + 1), exhausts on its last tick (t_exact), exhausts
+   alone (between the two counts), both exhaust (at or below
+   t_sampled), plus odd offsets that stop a query inside its flow. *)
+let budget_levels g ~samples ~s =
+  match ref_rungs ~samples g with
+  | [ (_, exact); (_, sampled) ] ->
+      let t_e = unlimited_ticks exact ~s and t_s = unlimited_ticks sampled ~s in
+      List.sort_uniq compare
+        (List.filter (fun n -> n >= 1)
+           [
+             1; 7; t_s / 3; (t_s / 2) + 1; t_s; t_s + 1; (t_s + t_e) / 2;
+             ((t_s + t_e) / 2) + 3; t_e - 1; t_e; t_e + 1;
+           ])
+  | _ -> assert false
+
+let shared_rungs_match g =
+  List.for_all
+    (fun samples ->
+      List.for_all
+        (fun s ->
+          List.for_all
+            (fun nodes ->
+              run_rungs (Bounds.wavefront_rungs ~samples g) ~nodes ~s
+              = run_rungs (ref_rungs ~samples g) ~nodes ~s
+              (* a fresh ladder's sampled rung alone, with no records *)
+              && run_rungs (List.tl (Bounds.wavefront_rungs ~samples g)) ~nodes ~s
+                 = run_rungs (List.tl (ref_rungs ~samples g)) ~nodes ~s)
+            (budget_levels g ~samples ~s))
+        [ 1; 3 ])
+    [ 4; 16; 64 ]
+
+let prop_ladder_layered =
+  QCheck.Test.make ~name:"shared rungs = per-rung path, layered" ~count:25
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      shared_rungs_match
+        (Dmc_gen.Random_dag.layered (Rng.create seed) ~layers:5 ~width:6 ~edge_prob:0.4))
+
+let prop_ladder_daggen =
+  QCheck.Test.make ~name:"shared rungs = per-rung path, daggen" ~count:8
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      shared_rungs_match
+        (Dmc_gen.Random_dag.daggen rng ~n:(40 + Rng.int rng 40) ~fat:0.5 ~density:0.3
+           ~ccr:1))
+
+(* The first rung that succeeds wins, floor last, each budgeted rung
+   checked by [Engine.run] first, as in [Bounds.run_ladder]: the
+   expected row value, rung, failed rungs and total ticks. *)
+let ref_ladder ~nodes rungs =
+  let rec go attempts ticks = function
+    | [] -> (None, "-", List.rev attempts, ticks)
+    | ("floor", f) :: _ -> (Some (f None), "floor", List.rev attempts, ticks)
+    | (rung, f) :: rest -> (
+        let b = Budget.create ~nodes () in
+        match Bounds.Engine.run ~budget:b (fun () -> f (Some b)) with
+        | Ok v -> (Some v, rung, List.rev attempts, ticks + Budget.spent b)
+        | Error e -> go ((rung, e) :: attempts) (ticks + Budget.spent b) rest)
+  in
+  go [] 0 rungs
+
+(* A row and the [budget.ticks] it added. *)
+let observed_row f =
+  Dmc_obs.Registry.reset ();
+  Dmc_obs.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dmc_obs.Registry.set_enabled false) @@ fun () ->
+  let (r : Bounds.row) = f () in
+  (r.Bounds.value, r.Bounds.rung, r.Bounds.attempts,
+   Dmc_obs.Counter.value (Dmc_obs.Counter.make "budget.ticks"))
+
+let test_ladder_rows_match () =
+  let graphs =
+    [
+      Dmc_gen.Random_dag.daggen (Rng.create 5) ~n:70 ~fat:0.5 ~density:0.3 ~ccr:1;
+      Dmc_gen.Random_dag.layered (Rng.create 17) ~layers:6 ~width:7 ~edge_prob:0.4;
+      Dmc_gen.Workload.parse_exn "gmres:3,2,2";
+    ]
+  in
+  let samples = 16 and g_cost = 1 (* Mp_bounds charges I/O at g = 1 *) in
+  (* the budget levels reach every regime of the ladder *)
+  let g0 = List.hd graphs in
+  let regimes =
+    List.map
+      (fun nodes ->
+        match run_rungs (ref_rungs ~samples g0) ~nodes ~s:2 with
+        | [ (_, Ok _, _); _ ] -> "exact finishes"
+        | [ (_, Error _, _); (_, _, spent) ] when spent < nodes -> "only exact exhausts"
+        | _ -> "both exhaust")
+      (budget_levels g0 ~samples ~s:2)
+  in
+  List.iter
+    (fun regime -> check_bool regime true (List.mem regime regimes))
+    [ "exact finishes"; "only exact exhausts"; "both exhaust" ];
+  List.iter
+    (fun g ->
+      let floor = Bounds.io_floor g in
+      let rungs = ref_rungs ~samples g in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun nodes ->
+              let seq = List.map (fun (rung, f) -> (rung, fun b -> f b ~s)) rungs in
+              check_bool
+                (Printf.sprintf "wavefront row, S=%d nodes=%d" s nodes)
+                true
+                (observed_row (fun () ->
+                     Bounds.governed_row ~node_budget:nodes ~samples g ~s "wavefront")
+                = ref_ladder ~nodes (seq @ [ ("floor", fun _ -> floor) ]));
+              List.iter
+                (fun p ->
+                  let comm =
+                    List.map
+                      (fun (rung, f) -> (rung, fun b -> max floor (f b ~s:(p * s))))
+                      rungs
+                  in
+                  let time_lb comm_lb =
+                    Dmc_core.Parallel_bounds.mp_time_lower ~p ~g_cost
+                      ~work:(Cdag.n_compute g) ~span:(Dmc_core.Mp_bounds.span g)
+                      ~comm_lb
+                  in
+                  let time =
+                    List.map (fun (rung, f) -> (rung, fun b -> time_lb (f b))) comm
+                  in
+                  List.iter
+                    (fun (engine, expected) ->
+                      check_bool
+                        (Printf.sprintf "%s row, p=%d S=%d nodes=%d" engine p s nodes)
+                        true
+                        (observed_row (fun () ->
+                             Dmc_core.Mp_bounds.row ~node_budget:nodes ~samples g ~p ~s
+                               engine)
+                        = expected))
+                    [
+                      ("mp-comm-lb", ref_ladder ~nodes (comm @ [ ("floor", fun _ -> floor) ]));
+                      ( "mp-time-lb",
+                        ref_ladder ~nodes (time @ [ ("floor", fun _ -> time_lb floor) ]) );
+                    ])
+                [ 1; 4 ])
+            (budget_levels g ~samples ~s))
+        [ 2; 6 ])
+    graphs
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint + RNG state plumbing                                     *)
 
 let test_rng_save_restore () =
@@ -335,6 +607,13 @@ let test_json_parse_errors () =
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" text)
     [ ""; "{"; "[1,"; "{\"a\" 1}"; "tru"; "\"unterminated"; "1 2" ]
 
+let qsuite name tests =
+  (* fixed qcheck seed so runs are reproducible *)
+  ( name,
+    List.map
+      (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t)
+      tests )
+
 let () =
   Alcotest.run "dmc_budget"
     [
@@ -347,7 +626,9 @@ let () =
           Alcotest.test_case "unlimited still counts" `Quick test_unlimited_counts;
           Alcotest.test_case "guard and internal errors" `Quick test_guard_and_internal_error;
           Alcotest.test_case "failure strings" `Quick test_failure_strings;
+          Alcotest.test_case "replay boundaries" `Quick test_replay_boundaries;
         ] );
+      qsuite "replay-props" [ prop_replay_matches_ticks ];
       ( "engines",
         [
           Alcotest.test_case "partition honors deadline" `Quick test_partition_deadline;
@@ -362,7 +643,9 @@ let () =
           Alcotest.test_case "full run agrees" `Quick test_governed_full_agrees;
           Alcotest.test_case "fallback stays sound" `Quick test_governed_fallback_sound;
           Alcotest.test_case "status strings" `Quick test_governed_status_strings;
+          Alcotest.test_case "shared ladder rows match" `Quick test_ladder_rows_match;
         ] );
+      qsuite "ladder-props" [ prop_ladder_layered; prop_ladder_daggen ];
       ( "checkpoint",
         [
           Alcotest.test_case "rng save/restore" `Quick test_rng_save_restore;
