@@ -198,9 +198,10 @@ let bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
     ?node_budget g ~s =
   let module Pool = Dmc_runtime.Pool in
   let engine_jobs =
+    (* one serialization, shared by every engine's job *)
+    let base = Dmc_core.Engine_job.make ?timeout ?node_budget g ~s ~engine:"" in
     List.map
-      (fun (name, _) ->
-        Dmc_core.Engine_job.make ?timeout ?node_budget g ~s ~engine:name)
+      (fun (name, _) -> { base with Dmc_core.Engine_job.engine = name })
       Dmc_core.Bounds.governed_engines
   in
   let cfg =

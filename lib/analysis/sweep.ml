@@ -18,6 +18,8 @@ type t = {
   budget : int option;
   grid_rows : row list;
   graphs : (string, Dmc_cdag.Cdag.t) Hashtbl.t;
+  base_jobs : (string, Engine_job.t) Hashtbl.t;
+      (* one job per workload; its rows share the serialized graph *)
 }
 
 let rows t = t.grid_rows
@@ -170,31 +172,42 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
                   budget = node_budget;
                   grid_rows;
                   graphs = Hashtbl.create 16;
+                  base_jobs = Hashtbl.create 16;
                 })
 
+let graph t workload =
+  match Hashtbl.find_opt t.graphs workload with
+  | Some g -> Ok g
+  | None ->
+      Result.map
+        (fun g ->
+          Hashtbl.replace t.graphs workload g;
+          g)
+        (Workload.parse workload)
+
+(* Serializing a graph costs more than most rows' engine work, so each
+   workload's text is made once and shared by all of its rows. *)
 let job t row =
-  match
-    match Hashtbl.find_opt t.graphs row.workload with
-    | Some g -> Ok g
-    | None -> (
-        match Workload.parse row.workload with
-        | Ok g ->
-            Hashtbl.replace t.graphs row.workload g;
-            Ok g
-        | Error e -> Error e)
-  with
-  | Error e -> Error e
-  | Ok g ->
-      Ok
-        (Engine_job.make ?timeout:t.tmo ?node_budget:t.budget ~p:row.p g
-           ~s:row.s ~engine:row.engine)
+  let base =
+    match Hashtbl.find_opt t.base_jobs row.workload with
+    | Some j -> Ok j
+    | None ->
+        Result.map
+          (fun g ->
+            let j =
+              Engine_job.make ?timeout:t.tmo ?node_budget:t.budget g ~s:row.s
+                ~engine:row.engine
+            in
+            Hashtbl.replace t.base_jobs row.workload j;
+            j)
+          (graph t row.workload)
+  in
+  Result.map
+    (fun j -> { j with Engine_job.engine = row.engine; s = row.s; p = row.p })
+    base
 
 let degraded t row ~failure =
-  match
-    match Hashtbl.find_opt t.graphs row.workload with
-    | Some g -> Ok g
-    | None -> Workload.parse row.workload
-  with
+  match graph t row.workload with
   | Error e -> Error e
   | Ok g ->
       let degraded =

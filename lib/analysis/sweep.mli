@@ -58,7 +58,8 @@ val node_budget : t -> int option
 
 val job : t -> row -> (Dmc_core.Engine_job.t, string) result
 (** The serializable bound computation for one row.  Graphs are built
-    once per concrete workload spec and memoized inside [t]. *)
+    and serialized once per concrete workload spec and memoized inside
+    [t]: the rows of one workload share one graph text. *)
 
 val degraded :
   t -> row -> failure:Dmc_util.Budget.failure -> (Dmc_util.Json.t, string) result

@@ -115,32 +115,27 @@ let instant ~name ~host attrs =
       ()
 
 (* ------------------------------------------------------------------ *)
-(* Child side (fork transport)                                         *)
-
-(* The child writes exactly one frame on [w] and [Unix._exit]s — never
-   [exit], which would run the parent's [at_exit] hooks and flush a
-   copy of any buffered parent output.  The attempt body itself (fault
-   handling, heartbeats, exception mapping, the result frame) is shared
-   with [dmc worker] in {!Transport.attempt_body}. *)
-let child_body cfg ~worker ~payload ~job ~fault w =
-  Sys.set_signal Sys.sigint Sys.Signal_ignore;
-  Sys.set_signal Sys.sigterm Sys.Signal_default;
-  (* Start from a clean registry (fork inherited the parent's spans
-     and counts) but keep the parent's epoch, so the snapshot's
-     timestamps land on the supervisor's timeline. *)
-  Dmc_obs.Registry.child_reset ();
-  Transport.attempt_body ~fault
-    ~hb:(cfg.on_progress <> None)
-    ~output:w
-    (fun () -> worker job payload);
-  Unix._exit 0
-
-(* ------------------------------------------------------------------ *)
 (* Supervisor side                                                     *)
+
+(* A local worker is forked once and then runs attempts one after
+   another: the supervisor writes one request frame per attempt on
+   [req]; the worker answers on [res] with heartbeats and one result
+   frame, then reads [req] again.  It holds the payloads of the jobs
+   submitted before its fork, so it can run job [i] only if
+   [i < mark]. *)
+type worker = {
+  wpid : int;
+  req : Unix.file_descr;  (* supervisor's write end: request frames *)
+  res : Unix.file_descr;  (* supervisor's read end: heartbeats, results *)
+  mark : int;
+  mutable closed : bool;
+}
 
 type slot = {
   pid : int;
   fd : Unix.file_descr;
+  local : worker option;
+      (* the local worker running this attempt; it owns [fd] *)
   buf : Buffer.t;
   job : int;
   attempt : int;
@@ -188,9 +183,14 @@ type 'a t = {
   on_commit : int -> outcome -> unit;
   ordered : bool;
   jobs : (int, job_rec) Hashtbl.t;
-  payloads : (int, 'a) Hashtbl.t;
+      (* ordered: every job; unordered: pending jobs, plus those
+         committed since the last [submit] *)
+  payloads : (int, 'a) Hashtbl.t;  (* jobs not yet final *)
   queue : int Queue.t;
   mutable in_flight : slot list;
+  mutable idle : worker list;  (* local workers between attempts *)
+  mutable exiting : int list;  (* retired workers not yet reaped *)
+  mutable committed : int list;  (* unordered: ids to forget at [submit] *)
   mutable next_id : int;  (* ids handed out so far *)
   mutable next_commit : int;  (* ordered mode: first uncommitted id *)
   mutable not_final : int;  (* jobs whose state is not yet Final *)
@@ -213,22 +213,161 @@ let worker_fault cfg ~job ~attempt =
   | Some k when Fault.is_worker_kind k -> Some k
   | Some _ | None -> None
 
+(* [pid <= 0] marks an attempt whose transport never started (command
+   spawn failure): there is no process to signal or reap, and passing 0
+   to kill/waitpid would address the whole process group. *)
+let kill_quietly pid =
+  if pid > 0 then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec wait_blocking pid =
+  match Unix.waitpid [] pid with
+  | _, st -> st
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_blocking pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 127
+
+(* [Some status] once [pid] has exited, [None] while it runs. *)
+let wait_nohang pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ -> None
+  | _, st -> Some st
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Some (Unix.WEXITED 127)
+
+(* ------------------------------------------------------------------ *)
+(* Local workers (fork transport)                                      *)
+
+(* The descriptors a freshly forked worker must close: the supervisor's
+   ends of every live worker's pipes.  A sibling holding a request pipe
+   open would keep its worker from ever seeing EOF.  In a worker this
+   holds the worker's own ends, so a pool it runs in turn does not leak
+   them into its own workers. *)
+let private_ends : Unix.file_descr list ref = ref []
+
+let close_worker w =
+  if not w.closed then begin
+    w.closed <- true;
+    private_ends :=
+      List.filter (fun fd -> fd <> w.req && fd <> w.res) !private_ends;
+    close_quietly w.req;
+    close_quietly w.res
+  end
+
+(* EOF on the request pipe ends an idle worker's loop; it is reaped
+   without blocking ([step] keeps trying, [shutdown] waits). *)
+let retire t w =
+  close_worker w;
+  if wait_nohang w.wpid = None then t.exiting <- w.wpid :: t.exiting
+
+let request_frame ~job ~fault =
+  Json.Obj
+    [
+      ("job", Json.Int job);
+      ( "fault",
+        match fault with
+        | None -> Json.Null
+        | Some k -> Json.String (Fault.kind_to_string k) );
+    ]
+
+let parse_request json =
+  Option.map
+    (fun job ->
+      ( job,
+        Option.bind
+          (Option.bind (Json.mem json "fault") Json.as_string)
+          Fault.kind_of_string ))
+    (Option.bind (Json.mem json "job") Json.as_int)
+
+(* The worker side: one attempt per request frame, each exactly what a
+   [dmc worker] process does with its call ({!Transport.attempt_body}).
+   Every attempt starts from a clean registry (the fork inherited the
+   parent's spans and counts, the previous attempt left its own) but
+   keeps the parent's epoch, so snapshots land on the supervisor's
+   timeline.  EOF on [input] is the supervisor retiring this worker (or
+   dying).  The worker leaves with [Unix._exit], never [exit], which
+   would run the parent's [at_exit] hooks and flush a copy of any
+   buffered parent output. *)
+let worker_loop t ~input ~output =
+  Sys.set_signal Sys.sigint Sys.Signal_ignore;
+  Sys.set_signal Sys.sigterm Sys.Signal_default;
+  let hb = t.cfg.on_progress <> None in
+  let rec loop () =
+    match Result.map parse_request (Ipc.read_frame input) with
+    | Ok (Some (job, fault)) ->
+        Dmc_obs.Registry.child_reset ();
+        Transport.attempt_body ~fault ~hb ~output (fun () ->
+            t.worker job (Hashtbl.find t.payloads job));
+        (* garbage must be followed by EOF, never by another attempt *)
+        if fault = Some Fault.Garbage then Unix._exit 0;
+        loop ()
+    | Ok None | Error _ -> Unix._exit 0
+  in
+  loop ()
+
+let fork_worker t =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  flush_parent_output ();
+  match Unix.fork () with
+  | 0 ->
+      List.iter close_quietly (req_w :: res_r :: !private_ends);
+      private_ends := [ req_r; res_w ];
+      worker_loop t ~input:req_r ~output:res_w
+  | pid ->
+      Unix.close req_r;
+      Unix.close res_w;
+      private_ends := req_w :: res_r :: !private_ends;
+      { wpid = pid; req = req_w; res = res_r; mark = t.next_id; closed = false }
+  | exception e ->
+      List.iter close_quietly [ req_r; req_w; res_r; res_w ];
+      raise e
+
+(* A worker that died while idle must not take the supervisor with it:
+   SIGPIPE is ignored for the one write, which then fails with EPIPE. *)
+let send_request w frame =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let sent =
+    match Ipc.write_frame w.req frame with
+    | () -> true
+    | exception Unix.Unix_error _ -> false
+  in
+  Sys.set_signal Sys.sigpipe prev;
+  sent
+
+(* Hand attempt [job] to a local worker: an idle one that holds the
+   job's payload, else a fresh fork.  Idle workers forked before the job
+   was submitted retire on the way.  A request that fails found a
+   worker that died while idle: it retires and the attempt goes to
+   another worker, the job charged nothing.  A fresh worker that died
+   before its first request ends the attempt like any other death. *)
+let rec local_worker t ~job ~fault =
+  let frame = request_frame ~job ~fault in
+  let stale, usable = List.partition (fun w -> w.mark <= job) t.idle in
+  List.iter (retire t) stale;
+  match usable with
+  | w :: rest ->
+      t.idle <- rest;
+      if send_request w frame then w
+      else begin
+        kill_quietly w.wpid;
+        retire t w;
+        local_worker t ~job ~fault
+      end
+  | [] ->
+      t.idle <- [];
+      let w = fork_worker t in
+      ignore (send_request w frame : bool);
+      w
+
 let spawn t ~host ~job ~attempt =
   let cfg = t.cfg in
   let fault = worker_fault cfg ~job ~attempt in
-  let pid, fd =
+  let pid, fd, local =
     match host.Host.transport with
-    | Transport.Fork -> (
-        let payload = Hashtbl.find t.payloads job in
-        let r, w = Unix.pipe ~cloexec:false () in
-        flush_parent_output ();
-        match Unix.fork () with
-        | 0 ->
-            Unix.close r;
-            child_body cfg ~worker:t.worker ~payload ~job ~fault w
-        | pid ->
-            Unix.close w;
-            (pid, r))
+    | Transport.Fork ->
+        let w = local_worker t ~job ~fault in
+        (w.wpid, w.res, Some w)
     | Transport.Command { argv } ->
         let encode =
           match t.encode with
@@ -252,11 +391,12 @@ let spawn t ~host ~job ~attempt =
             ~fault payload
         in
         let proc = Transport.spawn_command ~argv ~envelope in
-        (proc.Transport.pid, proc.Transport.fd)
+        (proc.Transport.pid, proc.Transport.fd, None)
   in
   {
     pid;
     fd;
+    local;
     buf = Buffer.create 256;
     job;
     attempt;
@@ -274,32 +414,24 @@ let spawn t ~host ~job ~attempt =
     result = None;
   }
 
-(* [pid <= 0] marks an attempt whose transport never started (command
-   spawn failure): there is no process to signal or reap, and passing 0
-   to kill/waitpid would address the whole process group. *)
-let kill_quietly pid =
-  if pid > 0 then try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
+(* The attempt's output is over (EOF, or its process is gone).  A local
+   attempt's pipe belongs to its worker, which goes with it. *)
+let end_output slot =
+  if not slot.eof then begin
+    slot.eof <- true;
+    match slot.local with
+    | Some w -> close_worker w
+    | None -> close_quietly slot.fd
+  end
 
 let reap_blocking slot =
   if slot.status = None then
-    if slot.pid <= 0 then slot.status <- Some (Unix.WEXITED 127)
-    else begin
-      let rec go () =
-        match Unix.waitpid [] slot.pid with
-        | _, st -> slot.status <- Some st
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-            slot.status <- Some (Unix.WEXITED 127)
-      in
-      go ()
-    end;
-  if not slot.eof then begin
-    (try Unix.close slot.fd with Unix.Unix_error _ -> ());
-    slot.eof <- true
-  end
+    slot.status <-
+      Some (if slot.pid <= 0 then Unix.WEXITED 127 else wait_blocking slot.pid);
+  end_output slot
 
 (* Record a finished attempt in the registry: bump the verdict counter,
-   merge the child's snapshot under this job's tid and close the
+   merge the worker's snapshot under this job's tid and close the
    synthetic per-attempt span. *)
 let record_attempt slot verdict obs =
   if Dmc_obs.Registry.is_enabled () then begin
@@ -309,7 +441,7 @@ let record_attempt slot verdict obs =
     | None -> ());
     (match obs with
     | Some snap ->
-        (* The worker's spans land on its host's lane.  A fork child
+        (* The worker's spans land on its host's lane.  A fork worker
            shares the supervisor's epoch, so its timestamps are already
            on our timeline; a command worker is a fresh process whose
            epoch is its own start — shift by the dispatch instant. *)
@@ -397,7 +529,15 @@ let classify slot =
           (Crashed s, Host.Transport_failure ("crashed: " ^ signal_name s), None)
       | Some (Unix.WSTOPPED s) ->
           (Crashed s, Host.Transport_failure ("stopped: " ^ signal_name s), None)
-      | Some (Unix.WEXITED code) -> (
+      | None when slot.result = None ->
+          let msg = "attempt finalized before being reaped" in
+          (Worker_protocol_error msg, Host.Transport_failure msg, None)
+      | Some (Unix.WEXITED _) | None -> (
+          (* [None]: a local attempt ended with its result frame, and
+             its worker is alive, waiting for the next request *)
+          let code =
+            match slot.status with Some (Unix.WEXITED c) -> c | _ -> 0
+          in
           let leftover = Buffer.length slot.buf - slot.off in
           let decoded =
             match slot.result with
@@ -448,9 +588,6 @@ let classify slot =
                     Host.Garbage msg
               in
               (Worker_protocol_error msg, hevent, None))
-      | None ->
-          let msg = "attempt finalized before being reaped" in
-          (Worker_protocol_error msg, Host.Transport_failure msg, None)
   in
   record_attempt slot verdict obs;
   (verdict, hevent)
@@ -483,6 +620,9 @@ let create ?(ordered = true) ?(hosts = []) ?encode (cfg : config) ~worker
     payloads = Hashtbl.create 64;
     queue = Queue.create ();
     in_flight = [];
+    idle = [];
+    exiting = [];
+    committed = [];
     next_id = 0;
     next_commit = 0;
     not_final = 0;
@@ -492,6 +632,8 @@ let create ?(ordered = true) ?(hosts = []) ?encode (cfg : config) ~worker
   }
 
 let submit t payload =
+  List.iter (Hashtbl.remove t.jobs) t.committed;
+  t.committed <- [];
   let id = t.next_id in
   t.next_id <- id + 1;
   Hashtbl.replace t.jobs id
@@ -530,10 +672,14 @@ let job_record t id =
    allows.  Ordered mode releases the contiguous finalized prefix
    (submission-order commit — the byte-determinism contract); unordered
    mode commits immediately, which is what a server wants: a fast
-   query's reply must not wait behind a slow unrelated one. *)
+   query's reply must not wait behind a slow unrelated one.  A final job
+   never runs again, so its payload goes now; an unordered handle
+   forgets the whole record at the next [submit], so a daemon's handle
+   does not grow with every query it has answered. *)
 let make_final t r o =
   (match r.jstate with Final _ -> () | _ -> t.not_final <- t.not_final - 1);
   r.jstate <- Final o;
+  Hashtbl.remove t.payloads r.jid;
   if t.ordered then begin
     let continue = ref true in
     while !continue && t.next_commit < t.next_id do
@@ -547,7 +693,10 @@ let make_final t r o =
       | _ -> continue := false
     done
   end
-  else t.on_commit r.jid o
+  else begin
+    t.committed <- r.jid :: t.committed;
+    t.on_commit r.jid o
+  end
 
 let finalize t r verdict =
   let elapsed = Budget.now () -. r.jfirst in
@@ -712,6 +861,7 @@ let cancel_pending t =
       if Float.is_nan r.jfirst then 0. else Budget.now () -. r.jfirst
     in
     (match r.jstate with Final _ -> () | _ -> t.not_final <- t.not_final - 1);
+    Hashtbl.remove t.payloads r.jid;
     r.jstate <-
       Final
         {
@@ -731,6 +881,17 @@ let cancel_pending t =
       t.jobs;
   Queue.clear t.queue
 
+(* Close every idle worker's request pipe and wait for it and every
+   retired worker to exit ([kill] first when they must not finish).
+   Idle workers exit at once on EOF, so the wait is short. *)
+let shutdown ?(kill = false) t =
+  List.iter close_worker t.idle;
+  let pids = List.map (fun w -> w.wpid) t.idle @ t.exiting in
+  if kill then List.iter kill_quietly pids;
+  List.iter (fun pid -> ignore (wait_blocking pid : Unix.process_status)) pids;
+  t.idle <- [];
+  t.exiting <- []
+
 let abandon t =
   List.iter
     (fun slot ->
@@ -739,6 +900,7 @@ let abandon t =
       Host.release slot.shost)
     t.in_flight;
   t.in_flight <- [];
+  shutdown ~kill:true t;
   cancel_pending t
 
 (* Every backend permanently benched and nothing in flight: the queue
@@ -771,14 +933,10 @@ let emit_progress t =
       if now -. t.last_progress >= 0.25 then begin
         t.last_progress <- now;
         let n = t.next_id in
-        let finished = ref 0 and waiting = ref 0 in
-        Hashtbl.iter
-          (fun _ r ->
-            match r.jstate with
-            | Final _ -> incr finished
-            | Queued | Waiting _ -> incr waiting
-            | Running -> ())
-          t.jobs;
+        (* every running job has exactly one attempt in flight; an
+           unordered handle no longer holds committed records *)
+        let finished = n - t.not_final in
+        let waiting = t.not_final - List.length t.in_flight in
         let running =
           List.rev_map
             (fun s ->
@@ -792,10 +950,9 @@ let emit_progress t =
         in
         let elapsed = now -. t.started in
         let eta =
-          if !finished = 0 then None
+          if finished = 0 then None
           else
-            Some
-              (elapsed *. float_of_int (n - !finished) /. float_of_int !finished)
+            Some (elapsed *. float_of_int (n - finished) /. float_of_int finished)
         in
         let rss_bytes =
           Progress.rss_of_pids
@@ -807,9 +964,9 @@ let emit_progress t =
         f
           {
             Progress.total = n;
-            finished = !finished;
+            finished;
             running;
-            waiting = !waiting;
+            waiting;
             retries = t.retries_total;
             elapsed;
             eta;
@@ -821,10 +978,11 @@ let emit_progress t =
    fill free worker slots (unless the config is draining), select on
    the worker pipes for at most [max_wait] seconds (capped tighter by
    the nearest deadline, retry wake-up or quarantine expiry), drain
-   readable pipes, enforce hard deadlines, reap exited children and
-   settle their attempts.  Callers embedding the pool in their own
-   event loop pass [~max_wait:0.] after their own select; the batch
-   driver uses the default. *)
+   readable pipes, settle local attempts that have their result frame,
+   enforce hard deadlines, reap exited workers and settle their
+   attempts, and retire idle workers once every job is final.  Callers
+   embedding the pool in their own event loop pass [~max_wait:0.] after
+   their own select; the batch driver uses the default. *)
 let step ?(max_wait = 0.2) t =
   let now = Budget.now () in
   (* Promote retry-waits whose backoff has elapsed. *)
@@ -875,7 +1033,7 @@ let step ?(max_wait = 0.2) t =
   in
   (* Drain readable pipes.  Iterate [watched] — the exact slots select
      looked at — not [in_flight]: a slot that already hit EOF lingers
-     in [in_flight] until its child is reaped, its closed fd *number*
+     in [in_flight] until its process is reaped, its closed fd *number*
      can be reused by a newly spawned pipe, and matching on the stale
      slot would read the new worker's bytes into the wrong buffer (or
      close the live fd out from under the next select). *)
@@ -884,9 +1042,7 @@ let step ?(max_wait = 0.2) t =
       if List.memq slot.fd readable then begin
         let chunk = Bytes.create 65536 in
         match Unix.read slot.fd chunk 0 65536 with
-        | 0 ->
-            (try Unix.close slot.fd with Unix.Unix_error _ -> ());
-            slot.eof <- true
+        | 0 -> end_output slot
         | k ->
             Buffer.add_subbytes slot.buf chunk 0 k;
             Host.touch slot.shost ~now:(Budget.now ());
@@ -894,6 +1050,32 @@ let step ?(max_wait = 0.2) t =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       end)
     watched;
+  (* A local attempt ends with its result frame; its worker stays alive
+     for the next request.  A frame that is not a clean result
+     (trailing bytes, a bad shape) gets its worker killed instead.
+     Workers move before any verdict settles, so an [on_commit] that
+     raises leaves none of them unaccounted for. *)
+  let framed, rest =
+    List.partition
+      (fun s ->
+        s.local <> None && s.result <> None && s.status = None
+        && not s.timeout_killed)
+      t.in_flight
+  in
+  t.in_flight <- rest;
+  let framed =
+    List.map
+      (fun slot ->
+        let ((verdict, _) as judged) = classify slot in
+        let w = Option.get slot.local in
+        if is_transient verdict then begin
+          kill_quietly w.wpid;
+          retire t w
+        end
+        else t.idle <- w :: t.idle;
+        (slot, judged))
+      framed
+  in
   (* Enforce hard deadlines. *)
   let now = Budget.now () in
   List.iter
@@ -908,20 +1090,15 @@ let step ?(max_wait = 0.2) t =
             slot.status <- Some (Unix.WEXITED 127)
       | _ -> ())
     t.in_flight;
-  (* Reap exited children without blocking. *)
+  (* Reap exited workers without blocking. *)
   List.iter
     (fun slot ->
       if slot.status = None then
-        if slot.pid <= 0 then slot.status <- Some (Unix.WEXITED 127)
-        else
-          match Unix.waitpid [ Unix.WNOHANG ] slot.pid with
-          | 0, _ -> ()
-          | _, st -> slot.status <- Some st
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              slot.status <- Some (Unix.WEXITED 127))
+        slot.status <-
+          (if slot.pid <= 0 then Some (Unix.WEXITED 127)
+           else wait_nohang slot.pid))
     t.in_flight;
-  (* A reaped child closes its pipe on exit; drain what's left and
+  (* A reaped worker closes its pipe on exit; drain what's left and
      settle the attempt. *)
   let done_, still =
     List.partition
@@ -940,15 +1117,22 @@ let step ?(max_wait = 0.2) t =
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
             in
             drain ();
-            (try Unix.close slot.fd with Unix.Unix_error _ -> ());
-            slot.eof <- true;
+            end_output slot;
             true
         | Some _ -> true
         | None -> false)
       t.in_flight
   in
   t.in_flight <- still;
+  List.iter (fun (slot, judged) -> settle t slot judged) framed;
   List.iter (fun slot -> settle t slot (classify slot)) done_;
+  (* Workers retire once every job is final, and retired ones are
+     reaped as they exit. *)
+  if t.not_final = 0 then begin
+    List.iter (retire t) t.idle;
+    t.idle <- []
+  end;
+  t.exiting <- List.filter (fun pid -> wait_nohang pid = None) t.exiting;
   emit_progress t
 
 (* ------------------------------------------------------------------ *)
@@ -961,7 +1145,11 @@ let run ?hosts ?encode (cfg : config) ~worker ?(on_result = fun _ _ -> ())
   let pool = create ?hosts ?encode cfg ~worker ~on_commit:on_result () in
   List.iter (fun payload -> ignore (submit pool payload : int)) jobs;
   let stopped = ref false in
-  let finally () = if pool.in_flight <> [] then abandon pool in
+  let finally () =
+    if pool.in_flight <> [] then abandon pool;
+    (* no worker outlives the run *)
+    shutdown pool
+  in
   Fun.protect ~finally (fun () ->
       while pool.next_commit < n && not !stopped do
         if cfg.should_stop () then begin

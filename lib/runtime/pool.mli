@@ -1,11 +1,24 @@
 (** Supervised worker pool over pluggable transports.
 
-    Each job runs in its own process — by default a forked child
-    ({!Transport.Fork}), optionally a spawned command such as
-    [ssh host dmc worker] ({!Transport.Command}) — so nothing a worker
-    does — blow the OCaml stack, exhaust the heap, segfault, spin
+    Jobs run outside the supervisor's process — by default in forked
+    local workers ({!Transport.Fork}), optionally in a spawned command
+    such as [ssh host dmc worker] ({!Transport.Command}) — so nothing a
+    worker does — blow the OCaml stack, exhaust the heap, segfault, spin
     forever in a non-cooperative loop — can take the supervisor down or
-    corrupt a sibling.  The supervisor enforces a {e hard} wall-clock
+    corrupt a sibling.
+
+    A local worker is forked once per slot and runs attempts one after
+    another; a command host starts one process per attempt.  Forking per
+    attempt made every attempt pay copy-on-write faults on the inherited
+    heap, which cost more than most sweep rows' engine work.  A local
+    worker sees the parent's state as of its own fork, not as of the
+    attempt's dispatch, and holds the payloads of the jobs submitted
+    before that fork: an idle worker only takes a job submitted before
+    it was forked, and a later job gets a fresh worker.  An attempt ends
+    when its result frame is complete; [Done] and [Engine_failure] leave
+    the worker alive for the next one, while a crash, a deadline kill or
+    a protocol error retires it, so a retry always runs in a fresh
+    process.  The supervisor enforces a {e hard} wall-clock
     deadline per attempt with SIGKILL (no reliance on the cooperative
     {!Dmc_util.Budget} polling the engines do internally), classifies
     every way an attempt can end into the closed {!verdict} type, and
@@ -31,24 +44,26 @@
     count — [--jobs 4] produces exactly the bytes [--jobs 1] does.
 
     Workers speak length-prefixed JSON ({!Dmc_util.Ipc}) over a pipe:
-    optional [{"hb": {"phase": ...}}] heartbeat frames (only when
-    [config.on_progress] is set), then one result frame
-    [{"ok": payload}] or [{"err": failure}], then exit.  Anything
-    else — garbage bytes, a truncated frame, a silent exit, trailing
-    bytes after the result — is a {!Worker_protocol_error}. *)
+    per attempt, optional [{"hb": {"phase": ...}}] heartbeat frames
+    (only when [config.on_progress] is set), then one result frame
+    [{"ok": payload}] or [{"err": failure}].  A command worker then
+    exits; a local worker reads its next request.  Anything else —
+    garbage bytes, a truncated frame, a silent exit, trailing bytes
+    after the result — is a {!Worker_protocol_error}. *)
 
 type verdict =
   | Done of Dmc_util.Json.t  (** the worker returned a payload *)
   | Timed_out
       (** the supervisor SIGKILLed the attempt at the hard deadline *)
   | Crashed of int
-      (** the child died on a signal it did not expect (OCaml signal
+      (** the worker died on a signal it did not expect (OCaml signal
           number, e.g. [Sys.sigabrt]; render with {!signal_name}) *)
   | Engine_failure of Dmc_util.Budget.failure
       (** the worker function itself reported a governed failure —
           deterministic, so never retried *)
   | Worker_protocol_error of string
-      (** the child exited without a well-formed result frame *)
+      (** the worker ended the attempt without a well-formed result
+          frame *)
 
 type outcome = {
   verdict : verdict;
@@ -80,7 +95,7 @@ type config = {
       (** called from the supervisor loop at most ~4 times a second
           with a snapshot of scheduling state and worker heartbeat
           phases.  Setting it also switches workers into heartbeat
-          mode: each child enables its registry and reports its
+          mode: each worker enables its registry and reports its
           innermost closing span name as a rate-limited phase tick
           over the result pipe.  [None] (the default) keeps the wire
           protocol exactly one result frame per attempt. *)
@@ -159,7 +174,7 @@ val create :
     [encode], the payload serializer whose JSON a [dmc worker] process
     can dispatch ([worker] itself never runs for a remote attempt —
     the remote end computes from the encoded payload, and its result
-    frames are classified exactly like a fork child's).  Callers
+    frames are classified exactly like a fork worker's).  Callers
     wanting the degrade-to-local guarantee should include a local
     host (see {!Host.normalize}); with a remote-only host set, jobs
     finalize as [Engine_failure Internal] once every backend is
@@ -178,9 +193,10 @@ val step : ?max_wait:float -> 'a t -> unit
     queued jobs into free worker slots (unless [cfg.accept_more ()] is
     false), select on worker pipes for at most [max_wait] seconds
     (default 0.2, capped tighter by the nearest deadline or retry
-    wake-up), drain output, SIGKILL attempts past their hard deadline,
-    reap exited children and settle their verdicts (commit or schedule
-    a retry).  Callers embedding the pool in their own event loop pass
+    wake-up), drain output, settle local attempts whose result frame
+    is complete, SIGKILL attempts past their hard deadline, reap exited
+    workers and settle their verdicts (commit or schedule a retry), and
+    retire idle local workers once every job is final.  Callers embedding the pool in their own event loop pass
     [~max_wait:0.] after their own select says a worker pipe (or
     nothing) is ready. *)
 
@@ -195,15 +211,18 @@ val unfinished : 'a t -> int
     when this exceeds its bound. *)
 
 val running : 'a t -> int
-(** In-flight worker processes (reaped-but-unsettled attempts
-    included). *)
+(** In-flight attempts, one worker process each (reaped-but-unsettled
+    attempts included; idle local workers are not counted). *)
 
 val outcome : 'a t -> int -> outcome option
 (** The final outcome of job [id], or [None] while it is still
-    pending (or the id was never issued). *)
+    pending (or the id was never issued).  An unordered handle forgets
+    committed jobs at the next {!submit} — a daemon's handle must not
+    grow with every query it answered — so ask before submitting
+    more. *)
 
 val abandon : 'a t -> unit
-(** SIGKILL and reap every in-flight worker, then finalize every
+(** SIGKILL and reap every worker, busy or idle, then finalize every
     non-committed job as [Engine_failure Cancelled] {e without} an
     [on_commit] call (the {!run} cancellation invariant).  The handle
     is dead afterwards: outcomes remain queryable via {!outcome}, but
@@ -218,12 +237,14 @@ val run :
   'a list ->
   outcome array
 (** [run cfg ~worker jobs] executes [worker i job_i] for each job in a
-    forked child (or on a remote host — [hosts]/[encode] as in
+    forked local worker (or on a remote host — [hosts]/[encode] as in
     {!create}) and returns one outcome per job, in submission order.
+    Every job is submitted before the first worker forks, so the run's
+    workers serve all of its jobs, and none outlives [run].
 
-    [worker] runs {e in the child} (after the fork it sees a copy of
-    the parent's full state, so closures need no serialization); its
-    result crosses back as one IPC frame.  An exception escaping
+    [worker] runs {e in the worker process} (it sees a copy of the
+    parent's state as of the worker's fork, so closures need no
+    serialization); its result crosses back as one IPC frame.  An exception escaping
     [worker] is mapped like {!Dmc_core.Bounds.Engine.run} would:
     [Budget.Exhausted]/[Internal_error] to their failures,
     [Stack_overflow] to [Too_large], anything else to [Internal].

@@ -3,24 +3,26 @@
     The supervised pool ({!Pool}) historically forked every attempt.
     That backend is now one {!t} among two:
 
-    - {!Fork} runs the pool's worker {e closure} in a forked child —
-      no serialization, full access to the parent's state, the
-      original byte-determinism workhorse;
+    - {!Fork} runs the pool's worker {e closure} in a forked local
+      worker that serves attempts one after another — no
+      serialization, and a copy of the parent's state as of the
+      worker's fork (not of each attempt's dispatch);
     - {!Command} spawns an arbitrary argv (typically
       [ssh host dmc worker], or a local [dmc worker] in tests), writes
       the {e serialized} job to its stdin as one length-prefixed JSON
       call frame, and reads the same frames the fork backend's pipe
       carries from its stdout.
 
-    Both speak the identical wire protocol ({!Dmc_util.Ipc}): optional
-    [{"hb": ...}] heartbeat frames, then exactly one result frame
-    [{"ok": payload}] or [{"err": failure}], then EOF.  The supervisor
+    Both speak the identical wire protocol ({!Dmc_util.Ipc}) per
+    attempt: optional [{"hb": ...}] heartbeat frames, then exactly one
+    result frame [{"ok": payload}] or [{"err": failure}] — then EOF
+    from a command, or the next attempt from a fork worker.  The supervisor
     therefore classifies, retries and commits attempts the same way
     whichever transport produced them — the submission-order-commit
     byte-determinism contract is transport-independent. *)
 
 type t =
-  | Fork  (** run the worker closure in a forked child *)
+  | Fork  (** run the worker closure in a reused forked worker *)
   | Command of { argv : string array }
       (** spawn [argv]; stdin carries the call frame, stdout the
           result frames, stderr passes through to the supervisor's *)
@@ -92,7 +94,7 @@ val attempt_body :
   output:Unix.file_descr ->
   (unit -> (Dmc_util.Json.t, Dmc_util.Budget.failure) result) ->
   unit
-(** The worker side of one attempt, shared by the fork child and the
+(** The worker side of one attempt, shared by the fork worker and the
     [dmc worker] process: honour a worker-kind fault (hang / abort /
     garbage), enable the registry when [hb] or [obs] asks for
     telemetry, optionally stream rate-limited heartbeat phase frames

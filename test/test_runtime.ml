@@ -585,6 +585,253 @@ let test_streaming_abandon () =
       | _ -> Alcotest.failf "job %d not reported cancelled" id)
     [ 0; 1 ]
 
+(* ------------------------------------------------------------------ *)
+(* Worker reuse: one forked process per slot, attempts settle on their
+   result frame.  Worker processes are counted through the pids the
+   workers report.                                                     *)
+
+let pid_worker _ _ = Ok (Json.Int (Unix.getpid ()))
+
+let reported_pid (o : Pool.outcome) =
+  match o.verdict with
+  | Pool.Done (Json.Int pid) -> pid
+  | v -> Alcotest.failf "expected a pid, got %s" (Pool.verdict_to_string v)
+
+(* Gone for good: no such process, or a zombie nobody has reaped yet
+   (a coordinator's orphans are reaped by whoever adopts them). *)
+let exited pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | () -> (
+      let path = Printf.sprintf "/proc/%d/stat" pid in
+      match In_channel.with_open_text path In_channel.input_all with
+      | stat -> (
+          match String.rindex_opt stat ')' with
+          | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z'
+          | _ -> false)
+      | exception Sys_error _ -> true)
+
+let test_workers_reused () =
+  let cfg = { Pool.default with jobs = 2 } in
+  let outcomes = Pool.run cfg ~worker:pid_worker (List.init 40 Fun.id) in
+  let pids =
+    List.sort_uniq compare (Array.to_list (Array.map reported_pid outcomes))
+  in
+  check_bool "at most one process per slot" true (List.length pids <= 2);
+  check_bool "never the supervisor" false (List.mem (Unix.getpid ()) pids);
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ()
+      | () -> Alcotest.failf "worker %d outlived Pool.run" pid)
+    pids
+
+let test_faults_mid_run () =
+  (* Faulted attempts retire their worker; the jobs around them keep
+     running on the survivors and on fresh forks. *)
+  let faults =
+    Result.get_ok (Fault.parse "abort:4,hang:6,garbage:8,abort:10:1")
+  in
+  let cfg =
+    {
+      Pool.default with
+      jobs = 2;
+      timeout = Some 0.5;
+      max_retries = 1;
+      backoff_base = 0.01;
+      backoff_cap = 0.02;
+      faults;
+    }
+  in
+  let order = ref [] in
+  let outcomes =
+    Pool.run cfg
+      ~worker:(fun _ n -> Ok (Json.Int (n * 3)))
+      ~on_result:(fun i _ -> order := i :: !order)
+      (List.init 12 Fun.id)
+  in
+  check_bool "commit order is submission order" true
+    (List.rev !order = List.init 12 Fun.id);
+  Array.iteri
+    (fun i (o : Pool.outcome) ->
+      match (i + 1, o.verdict) with
+      | 4, Pool.Crashed s ->
+          check_string "job 4 signal" "SIGABRT" (Pool.signal_name s)
+      | 6, Pool.Timed_out -> ()
+      | 8, Pool.Worker_protocol_error _ -> ()
+      | 10, Pool.Done (Json.Int v) ->
+          check "job 10 payload" 27 v;
+          check "job 10 retried once" 2 o.attempts
+      | (4 | 6 | 8 | 10), v ->
+          Alcotest.failf "job %d: %s" (i + 1) (Pool.verdict_to_string v)
+      | _, Pool.Done (Json.Int v) -> check "own payload" (i * 3) v
+      | _, v -> Alcotest.failf "job %d: %s" (i + 1) (Pool.verdict_to_string v))
+    outcomes
+
+let test_registry_reset_per_attempt () =
+  (* A worker that kept its registry across attempts would report a
+     running total and the merge would overcount. *)
+  let c = Dmc_obs.Counter.make "test.pool.attempts" in
+  let was = Dmc_obs.Registry.is_enabled () in
+  Dmc_obs.Registry.set_enabled true;
+  Dmc_obs.Registry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Dmc_obs.Registry.reset ();
+      Dmc_obs.Registry.set_enabled was)
+    (fun () ->
+      let worker _ _ =
+        Dmc_obs.Counter.incr c;
+        Ok Json.Null
+      in
+      ignore
+        (Pool.run { Pool.default with jobs = 2 } ~worker (List.init 20 Fun.id)
+          : Pool.outcome array);
+      check "one count per attempt" 20 (Dmc_obs.Counter.value c))
+
+let test_late_submit_fresh_worker () =
+  (* A worker holds the payloads submitted before its fork, so a later
+     job must run in another process, with its own payload. *)
+  let results = Hashtbl.create 2 in
+  let pool =
+    Pool.create
+      { Pool.default with jobs = 1 }
+      ~worker:(fun _ s ->
+        Ok
+          (Json.Obj
+             [ ("pid", Json.Int (Unix.getpid ())); ("s", Json.String s) ]))
+      ~on_commit:(fun id o ->
+        match o.Pool.verdict with
+        | Pool.Done j -> Hashtbl.replace results id j
+        | v -> Alcotest.failf "job %d: %s" id (Pool.verdict_to_string v))
+      ()
+  in
+  ignore (Pool.submit pool "first" : int);
+  Pool.step ~max_wait:0. pool;
+  check "first job's worker forked" 1 (Pool.running pool);
+  ignore (Pool.submit pool "second" : int);
+  while Pool.unfinished pool > 0 do
+    Pool.step pool
+  done;
+  let field id f = Option.get (Json.mem (Hashtbl.find results id) f) in
+  check_bool "own payload" true (field 1 "s" = Json.String "second");
+  check_bool "a different process" true (field 0 "pid" <> field 1 "pid")
+
+let test_worker_killed_while_idle () =
+  (* Job 0's worker is SIGKILLed from the commit hook, while it is idle,
+     and is dead before the next dispatch: the supervisor must survive
+     writing to its dead pipe and move the attempt to another worker,
+     charging the job nothing. *)
+  let cfg =
+    {
+      Pool.default with
+      jobs = 2;
+      timeout = Some 5.0;
+      max_retries = 1;
+      backoff_base = 0.01;
+      backoff_cap = 0.02;
+    }
+  in
+  let on_result i o =
+    if i = 0 then begin
+      let pid = reported_pid o in
+      Unix.kill pid Sys.sigkill;
+      let until = Unix.gettimeofday () +. 2. in
+      while (not (exited pid)) && Unix.gettimeofday () < until do
+        Unix.sleepf 0.005
+      done
+    end
+  in
+  let outcomes =
+    Pool.run cfg ~worker:pid_worker ~on_result (List.init 10 Fun.id)
+  in
+  Array.iteri
+    (fun i (o : Pool.outcome) ->
+      match o.verdict with
+      | Pool.Done _ -> check (Printf.sprintf "job %d attempts" i) 1 o.attempts
+      | v -> Alcotest.failf "job %d: %s" i (Pool.verdict_to_string v))
+    outcomes
+
+let test_killed_coordinator_leaves_no_workers () =
+  let log = Filename.temp_file "dmc-pool-workers" ".log" in
+  let logged () =
+    In_channel.with_open_text log In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map int_of_string_opt
+    |> List.sort_uniq compare
+  in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      let worker _ _ =
+        Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o644 log
+          (fun oc -> Printf.fprintf oc "%d\n" (Unix.getpid ()));
+        Unix.sleepf 0.3;
+        Ok Json.Null
+      in
+      (try
+         ignore
+           (Pool.run { Pool.default with jobs = 2 } ~worker (List.init 50 Fun.id)
+             : Pool.outcome array)
+       with _ -> ());
+      Unix._exit 0
+  | coordinator ->
+      let until = Unix.gettimeofday () +. 10. in
+      while List.length (logged ()) < 2 && Unix.gettimeofday () < until do
+        Unix.sleepf 0.02
+      done;
+      Unix.kill coordinator Sys.sigkill;
+      ignore (Unix.waitpid [] coordinator : int * Unix.process_status);
+      let workers = logged () in
+      check_bool "both workers logged" true (List.length workers >= 2);
+      let until = Unix.gettimeofday () +. 2. in
+      while
+        (not (List.for_all exited workers)) && Unix.gettimeofday () < until
+      do
+        Unix.sleepf 0.02
+      done;
+      Sys.remove log;
+      List.iter
+        (fun pid ->
+          if not (exited pid) then
+            Alcotest.failf "worker %d outlived its SIGKILLed coordinator" pid)
+        workers
+
+let test_unordered_handle_does_not_grow () =
+  (* A daemon's handle: batches of jobs with 64 KiB payloads, every
+     outcome committed as it finalizes.  Finished jobs must leave
+     nothing behind. *)
+  let committed = ref 0 in
+  let pool =
+    Pool.create ~ordered:false
+      { Pool.default with jobs = 2 }
+      ~worker:(fun _ s -> Ok (Json.Int (String.length s)))
+      ~on_commit:(fun _ _ -> incr committed)
+      ()
+  in
+  let batch () =
+    for _ = 1 to 20 do
+      ignore (Pool.submit pool (String.make 65536 'x') : int)
+    done;
+    while Pool.unfinished pool > 0 do
+      Pool.step pool
+    done
+  in
+  batch ();
+  let after_20 = Obj.reachable_words (Obj.repr pool) in
+  for _ = 2 to 15 do
+    batch ()
+  done;
+  let after_300 = Obj.reachable_words (Obj.repr pool) in
+  check "every job committed" 300 !committed;
+  (* one leaked payload alone is 8 K words *)
+  check_bool
+    (Printf.sprintf "handle size %d words after 20 jobs, %d after 300" after_20
+       after_300)
+    true
+    (after_300 - after_20 < 1024)
+
 let () =
   Alcotest.run "dmc_runtime"
     [
@@ -635,6 +882,21 @@ let () =
             test_order_determinism;
           Alcotest.test_case "crash isolation" `Quick test_isolation;
           Alcotest.test_case "hard-stop accounting" `Quick test_stop_accounting;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "one process per slot" `Quick test_workers_reused;
+          Alcotest.test_case "faults mid-run" `Quick test_faults_mid_run;
+          Alcotest.test_case "registry reset per attempt" `Quick
+            test_registry_reset_per_attempt;
+          Alcotest.test_case "late submit gets a fresh worker" `Quick
+            test_late_submit_fresh_worker;
+          Alcotest.test_case "worker killed while idle" `Quick
+            test_worker_killed_while_idle;
+          Alcotest.test_case "killed coordinator leaves no workers" `Quick
+            test_killed_coordinator_leaves_no_workers;
+          Alcotest.test_case "unordered handle does not grow" `Quick
+            test_unordered_handle_does_not_grow;
         ] );
       ( "progress",
         [

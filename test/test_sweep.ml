@@ -87,6 +87,33 @@ let test_grid_seed_axis () =
   (* graphs build (and memoize) per concrete spec *)
   List.iter (fun r -> ignore (fail_result (Sweep.job grid r))) rows
 
+let test_grid_rows_share_graph_text () =
+  (* rows of one workload carry one serialization, physically shared,
+     and each still gets its own engine/s/p *)
+  let grid =
+    fail_result
+      (Sweep.make ~specs:[ "fft:3" ] ~ss:[ 4; 8 ] ~ps:[ 1; 2 ]
+         ~engines:[ "floor"; "mp-comm-lb" ] ())
+  in
+  let jobs =
+    List.map (fun r -> (r, fail_result (Sweep.job grid r))) (Sweep.rows grid)
+  in
+  let text =
+    Dmc_cdag.Serialize.to_string (Dmc_gen.Workload.parse_exn "fft:3")
+  in
+  let (_, first), (_, last) = (List.hd jobs, List.hd (List.rev jobs)) in
+  check_str "text is the graph's serialization" text
+    first.Dmc_core.Engine_job.graph;
+  check_bool "two rows share one text" true
+    (first.Dmc_core.Engine_job.graph == last.Dmc_core.Engine_job.graph);
+  List.iter
+    (fun ((r : Sweep.row), (j : Dmc_core.Engine_job.t)) ->
+      check_bool "shared" true (j.graph == first.graph);
+      check_str "engine" r.engine j.engine;
+      check "s" r.s j.s;
+      check "p" r.p j.p)
+    jobs
+
 let test_grid_validation () =
   let make ?sizes ?seeds ?(ss = [ 4 ]) ?engines specs =
     Sweep.make ~specs ?sizes ?seeds ~ss ?engines ()
@@ -673,6 +700,8 @@ let () =
           Alcotest.test_case "expansion order" `Quick test_grid_expansion_order;
           Alcotest.test_case "seed axis" `Quick test_grid_seed_axis;
           Alcotest.test_case "validation" `Quick test_grid_validation;
+          Alcotest.test_case "rows share one graph text" `Quick
+            test_grid_rows_share_graph_text;
           Alcotest.test_case "checkpoint roundtrip" `Quick
             test_checkpoint_roundtrip;
           Alcotest.test_case "uncommitted rows fail the report" `Quick
