@@ -11,7 +11,7 @@ type t = {
   pred : int array;
   input_set : Bitset.t;
   output_set : Bitset.t;
-  labels : string array;  (* "" means unlabeled *)
+  label_of : vertex -> string;  (* resolved on demand; "" means unlabeled *)
 }
 
 let n_vertices g = g.n
@@ -59,7 +59,8 @@ let has_edge g u v =
   !found
 
 let label g v =
-  let s = g.labels.(v) in
+  if v < 0 || v >= g.n then invalid_arg "Cdag.label: vertex out of range";
+  let s = g.label_of v in
   if s = "" then "v" ^ string_of_int v else s
 
 let is_input g v = Bitset.mem g.input_set v
@@ -119,6 +120,87 @@ let check_acyclic n succ_off succ pred_off =
   done;
   if !seen <> n then invalid_arg "Cdag: edge relation has a cycle"
 
+(* Validate every row and bring it to strictly ascending order, moving
+   rows left over the entries dropped as duplicates; a row already in
+   order is only checked (and blitted once a compaction has happened).
+   Returns the final edge count and whether some edge descends. *)
+let normalize_rows n succ_off succ =
+  let cursor = ref 0 and descends = ref false in
+  for v = 0 to n - 1 do
+    let a = succ_off.(v) and b = succ_off.(v + 1) in
+    if b < a then invalid_arg "Cdag.of_rows: offsets decrease";
+    let ascending = ref true in
+    for k = a to b - 1 do
+      let w = succ.(k) in
+      if w < 0 || w >= n then invalid_arg "Cdag.of_rows: successor out of range";
+      if w = v then invalid_arg "Cdag.of_rows: self-loop";
+      if k > a && succ.(k - 1) >= w then ascending := false
+    done;
+    let start = !cursor in
+    if !ascending then begin
+      if start <> a then Array.blit succ a succ start (b - a);
+      cursor := start + (b - a)
+    end
+    else begin
+      let row = Array.sub succ a (b - a) in
+      Array.sort Int.compare row;
+      Array.iteri
+        (fun j w ->
+          if j = 0 || row.(j - 1) <> w then begin
+            succ.(!cursor) <- w;
+            incr cursor
+          end)
+        row
+    end;
+    succ_off.(v) <- start;
+    if !cursor > start && succ.(start) < v then descends := true
+  done;
+  succ_off.(n) <- !cursor;
+  (!cursor, !descends)
+
+let of_rows ~label ~inputs ~outputs ~succ_off ~succ n =
+  if n < 0 || Array.length succ_off <> n + 1 || succ_off.(0) <> 0
+     || succ_off.(n) > Array.length succ
+  then invalid_arg "Cdag.of_rows: malformed offsets";
+  if Bitset.capacity inputs <> n || Bitset.capacity outputs <> n then
+    invalid_arg "Cdag.of_rows: tag set capacity differs from the vertex count";
+  let m, descends = normalize_rows n succ_off succ in
+  let succ = if m = Array.length succ then succ else Array.sub succ 0 m in
+  (* Transpose: scanning sources in ascending order appends each
+     predecessor row in ascending order, and the successor rows are
+     duplicate-free, so the predecessor rows are too. *)
+  let pred_off = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let w = succ.(k) in
+    pred_off.(w + 1) <- pred_off.(w + 1) + 1
+  done;
+  for v = 1 to n do
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+  done;
+  let pred = Array.make m 0 in
+  if m > 0 then begin
+    let fill = Array.sub pred_off 0 n in
+    for u = 0 to n - 1 do
+      for k = succ_off.(u) to succ_off.(u + 1) - 1 do
+        let w = succ.(k) in
+        pred.(fill.(w)) <- u;
+        fill.(w) <- fill.(w) + 1
+      done
+    done
+  end;
+  (* An edge set in which every edge ascends is acyclic. *)
+  if descends then check_acyclic n succ_off succ pred_off;
+  {
+    n;
+    succ_off;
+    succ;
+    pred_off;
+    pred;
+    input_set = inputs;
+    output_set = outputs;
+    label_of = label;
+  }
+
 module Builder = struct
   (* [hint] is advisory: every store — the parallel edge lists and the
      label table — grows by doubling when the hint undershoots, so a
@@ -160,68 +242,33 @@ module Builder = struct
 
   let n_vertices b = b.nv
 
-  (* Counting sort of the edge list into CSR rows keyed by [key];
-     within a row, entries keep relative order of a pre-pass that sorted
-     by the other endpoint, giving ascending rows after two passes. *)
-  let to_csr n keys values =
-    let m = Array.length keys in
-    let off = Array.make (n + 1) 0 in
-    for k = 0 to m - 1 do
-      off.(keys.(k) + 1) <- off.(keys.(k) + 1) + 1
-    done;
-    for v = 1 to n do
-      off.(v) <- off.(v) + off.(v - 1)
-    done;
-    let cursor = Array.copy off in
-    let out = Array.make m 0 in
-    for k = 0 to m - 1 do
-      let row = keys.(k) in
-      out.(cursor.(row)) <- values.(k);
-      cursor.(row) <- cursor.(row) + 1
-    done;
-    (off, out)
-
-  let dedup_rows n off arr =
-    (* Sort each CSR row ascending and drop duplicates, rebuilding the
-       offsets. *)
-    let new_off = Array.make (n + 1) 0 in
-    let out = Intvec.create ~initial_capacity:(Array.length arr) () in
-    for v = 0 to n - 1 do
-      let row = Array.sub arr off.(v) (off.(v + 1) - off.(v)) in
-      Array.sort compare row;
-      let prev = ref (-1) in
-      Array.iter
-        (fun w ->
-          if w <> !prev then begin
-            Intvec.push out w;
-            prev := w
-          end)
-        row;
-      new_off.(v + 1) <- Intvec.length out
-    done;
-    (new_off, Intvec.to_array out)
-
   let freeze ?inputs ?outputs b =
     let n = b.nv in
-    let srcs = Intvec.to_array b.srcs and dsts = Intvec.to_array b.dsts in
-    let succ_off0, succ0 = to_csr n srcs dsts in
-    let succ_off, succ = dedup_rows n succ_off0 succ0 in
-    (* Rebuild the (deduplicated) edge list to derive predecessors. *)
-    let m = Array.length succ in
-    let e_src = Array.make m 0 and e_dst = Array.make m 0 in
-    let k = ref 0 in
-    for u = 0 to n - 1 do
-      for j = succ_off.(u) to succ_off.(u + 1) - 1 do
-        e_src.(!k) <- u;
-        e_dst.(!k) <- succ.(j);
-        incr k
-      done
+    (* Counting sort of the edge list into successor rows, keeping
+       insertion order within a row; [of_rows] sorts and deduplicates
+       only the rows that did not arrive strictly ascending. *)
+    let m = Intvec.length b.srcs in
+    let succ_off = Array.make (n + 1) 0 in
+    Intvec.iter (fun u -> succ_off.(u + 1) <- succ_off.(u + 1) + 1) b.srcs;
+    for v = 1 to n do
+      succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
     done;
-    let pred_off0, pred0 = to_csr n e_dst e_src in
-    let pred_off, pred = dedup_rows n pred_off0 pred0 in
-    check_acyclic n succ_off succ pred_off;
+    let cursor = Array.sub succ_off 0 n in
+    let succ = Array.make m 0 in
+    for k = 0 to m - 1 do
+      let u = Intvec.get b.srcs k in
+      succ.(cursor.(u)) <- Intvec.get b.dsts k;
+      cursor.(u) <- cursor.(u) + 1
+    done;
+    let labels = Array.sub b.labels 0 n in
+    (* The tag sets are filled once [g] exists: the Hong–Kung default
+       reads its degrees. *)
     let input_set = Bitset.create n and output_set = Bitset.create n in
-    let tag what set = function
+    let g =
+      of_rows ~label:(Array.get labels) ~inputs:input_set ~outputs:output_set
+        ~succ_off ~succ n
+    in
+    let tag what set degree = function
       | Some vs ->
           List.iter
             (fun v ->
@@ -232,15 +279,10 @@ module Builder = struct
       | None ->
           (* Hong–Kung default: sources are inputs, sinks are outputs. *)
           for v = 0 to n - 1 do
-            let deg =
-              if what = "input" then pred_off.(v + 1) - pred_off.(v)
-              else succ_off.(v + 1) - succ_off.(v)
-            in
-            if deg = 0 then Bitset.add set v
+            if degree g v = 0 then Bitset.add set v
           done
     in
-    tag "input" input_set inputs;
-    tag "output" output_set outputs;
-    let labels = Array.sub b.labels 0 n in
-    { n; succ_off; succ; pred_off; pred; input_set; output_set; labels }
+    tag "input" input_set in_degree inputs;
+    tag "output" output_set out_degree outputs;
+    g
 end

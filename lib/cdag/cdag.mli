@@ -14,14 +14,53 @@
 
     Graphs are built with a mutable {!Builder.t} and then {e frozen}
     into an immutable CSR (compressed sparse row) representation; all
-    analyses run over the frozen form.  Vertex ids are dense integers
+    analyses run over the frozen form.  Every frozen graph — built,
+    parsed, windowed or induced — goes through the one validating
+    constructor {!of_rows}.  Vertex ids are dense integers
     [0 .. n_vertices-1] in creation order. *)
+
+module Bitset := Dmc_util.Bitset
 
 type vertex = int
 
 type t
 
 (** {1 Construction} *)
+
+val of_rows :
+  label:(vertex -> string) ->
+  inputs:Bitset.t ->
+  outputs:Bitset.t ->
+  succ_off:int array ->
+  succ:int array ->
+  int ->
+  t
+(** [of_rows ~label ~inputs ~outputs ~succ_off ~succ n] is the graph
+    on [0 .. n-1] whose vertex [v] has the successors
+    [succ.(succ_off.(v)) .. succ.(succ_off.(v+1) - 1)].
+
+    - The graph takes ownership of all four arrays and sets: they may
+      be rewritten in place and are kept, so the caller must not touch
+      them afterwards.  [succ] may be longer than [succ_off.(n)]; the
+      slack is dropped.
+    - A row may arrive in any order and with duplicates; such a row is
+      sorted and deduplicated in place.  A row that is already strictly
+      ascending is only checked, never re-sorted.
+    - Predecessor rows are the transpose of the successor rows, built
+      in one pass (ascending and duplicate-free by construction).
+    - Validation is O(n + e): every successor in range, no self-loop.
+      The acyclicity check (Kahn) runs only when some edge descends;
+      an edge set in which every edge ascends is acyclic.
+    - [label v] names vertex [v], or is [""] for an unlabeled one.  It
+      is called on demand by {!label}, never at construction, so it
+      must be pure; a closure over another graph keeps that graph
+      reachable as long as this one is.
+    - [inputs] and [outputs] are the tag sets [I] and [O]; both must
+      have capacity [n].
+
+    Raises [Invalid_argument] on malformed offsets, a tag set of the
+    wrong capacity, an out-of-range successor, a self-loop or a
+    cycle. *)
 
 module Builder : sig
   type graph := t
@@ -46,10 +85,14 @@ module Builder : sig
   val n_vertices : t -> int
 
   val freeze : ?inputs:vertex list -> ?outputs:vertex list -> t -> graph
-  (** Produce the immutable graph.  When [inputs] (resp. [outputs]) is
-      omitted, every vertex without predecessors (resp. successors) is
-      tagged, i.e. the Hong–Kung convention.  Raises [Invalid_argument]
-      if the edge relation has a cycle or a tag is out of range. *)
+  (** Produce the immutable graph through {!of_rows}: one counting sort
+      of the edge list into successor rows (insertion order within a
+      row), so only the rows whose edges were not added in strictly
+      ascending order get sorted and deduplicated.  When [inputs]
+      (resp. [outputs]) is omitted, every vertex without predecessors
+      (resp. successors) is tagged, i.e. the Hong–Kung convention.
+      Raises [Invalid_argument] if the edge relation has a cycle or a
+      tag is out of range. *)
 end
 
 (** {1 Size and structure} *)
@@ -82,7 +125,9 @@ val has_edge : t -> vertex -> vertex -> bool
 (** Binary search over the successor row; O(log out-degree). *)
 
 val label : t -> vertex -> string
-(** The label given at construction, or ["v<id>"] when none was. *)
+(** The label given at construction, or ["v<id>"] when none was.
+    Resolved on demand from the constructor's label source, so windows
+    and induced parts format no label until one is asked for. *)
 
 (** {1 Input/output tagging} *)
 

@@ -41,24 +41,33 @@ val n_edges : t -> int
     billion-vertex graphs prefer the generator's closed form. *)
 
 val materialize : t -> Cdag.t
-(** Rebuild the frozen CSR form (O(V + E) time and space).  The result
-    has the same vertex ids, edges, tags and labels; materializing
-    [of_cdag g] reproduces [g] exactly.  Raises [Invalid_argument] if
-    the implicit graph is cyclic or an iterator steps out of range. *)
+(** Rebuild the frozen CSR form: one pass over every successor row
+    straight into {!Cdag.of_rows} (O(V + E) time and space, no
+    {!Cdag.Builder}).  The result has the same vertex ids, edges, tags
+    and labels; materializing [of_cdag g] reproduces [g] exactly.
+    Labels are not formatted here: {!Cdag.label} asks [t.label] on
+    demand, so the result keeps [t] reachable.  Raises
+    [Invalid_argument] if the implicit graph is cyclic, has a
+    self-loop, or an iterator steps out of range. *)
 
 val window : t -> lo:vertex -> hi:vertex -> Subgraph.part
 (** Materialize the induced sub-CDAG on the id range [\[lo, hi)]
-    without touching any vertex outside it (edges are discovered from
-    the range's own successor rows; cost is O(hi - lo + edges touching
-    the range)).  Tagging follows Theorem 2: the window's inputs are
-    [I ∩ \[lo, hi)] and its outputs [O ∩ \[lo, hi)], so per-window
+    without touching any vertex outside it: one pass over the range's
+    own successor rows, window id [v - lo], straight into
+    {!Cdag.of_rows}.  The cost is O(hi - lo + edges leaving the range's
+    vertices); no label is formatted until one is asked for (window
+    label [i] is [t.label (lo + i)]).  Rows that arrive unsorted or
+    with duplicates are sorted and deduplicated; successors outside the
+    range are dropped.  Tagging follows Theorem 2: the window's inputs
+    are [I ∩ \[lo, hi)] and its outputs [O ∩ \[lo, hi)], so per-window
     bounds sum soundly over disjoint windows.  [part.to_parent] maps
     window ids back to [lo ..]. *)
 
 val window_of_set : t -> vertex list -> Subgraph.part
-(** Like {!window} for an arbitrary vertex set (ascending ids assumed
-    after an internal sort); the tile extractor for non-contiguous
-    pieces such as an FFT rank band's butterfly groups. *)
+(** Like {!window} for an arbitrary vertex set: the list is read as a
+    set (sorted, repeated ids dropped), and membership is a binary
+    search over it.  The tile extractor for non-contiguous pieces such
+    as an FFT rank band's butterfly groups. *)
 
 val check_monotone : t -> bool
 (** Whether every edge goes from a lower to a higher id — the property

@@ -117,7 +117,7 @@ let of_string text =
       in
       let inputs = dedup_tags "input" !inputs in
       let outputs = dedup_tags "output" !outputs in
-      let label_of = Array.init n (fun v -> "v" ^ string_of_int v) in
+      let label_of = Array.make n "" in
       let labelled = Hashtbl.create 16 in
       List.iter
         (fun (lineno, v, l) ->

@@ -6,30 +6,62 @@ type part = {
   of_parent : Cdag.vertex -> Cdag.vertex option;
 }
 
+let identity g =
+  let n = Cdag.n_vertices g in
+  {
+    graph = g;
+    to_parent = Array.init n Fun.id;
+    of_parent = (fun v -> if v < 0 || v >= n then None else Some v);
+  }
+
+(* Count, then fill through the id map.  The parent's rows ascend and
+   the map is monotone, so every part row arrives strictly ascending
+   and [Cdag.of_rows] sorts nothing. *)
 let induced g set =
   let n = Cdag.n_vertices g in
-  let to_parent = Array.of_list (Bitset.elements set) in
-  let map = Array.make n (-1) in
-  Array.iteri (fun i v -> map.(v) <- i) to_parent;
-  let b = Cdag.Builder.create ~hint:(Array.length to_parent) () in
-  Array.iter
-    (fun v -> ignore (Cdag.Builder.add_vertex ~label:(Cdag.label g v) b))
-    to_parent;
-  Array.iteri
-    (fun i v ->
-      Cdag.iter_succ g v (fun w -> if map.(w) >= 0 then Cdag.Builder.add_edge b i map.(w)))
-    to_parent;
-  let tag pred =
-    Array.to_list to_parent
-    |> List.filteri (fun _ v -> pred v)
-    |> List.map (fun v -> map.(v))
-  in
-  let inputs = tag (Cdag.is_input g) and outputs = tag (Cdag.is_output g) in
-  let graph = Cdag.Builder.freeze ~inputs ~outputs b in
-  let of_parent v =
-    if v < 0 || v >= n || map.(v) < 0 then None else Some map.(v)
-  in
-  { graph; to_parent; of_parent }
+  if Bitset.capacity set = n && Bitset.cardinal set = n then identity g
+  else begin
+    let k = Bitset.cardinal set in
+    let to_parent = Array.make k 0 and map = Array.make n (-1) in
+    let next = ref 0 in
+    Bitset.iter
+      (fun v ->
+        map.(v) <- !next;
+        to_parent.(!next) <- v;
+        incr next)
+      set;
+    let succ_off = Array.make (k + 1) 0 in
+    Array.iteri
+      (fun i v ->
+        let d = Cdag.fold_succ g v (fun d w -> if map.(w) >= 0 then d + 1 else d) 0 in
+        succ_off.(i + 1) <- succ_off.(i) + d)
+      to_parent;
+    let succ = Array.make succ_off.(k) 0 in
+    let cursor = ref 0 in
+    let keep w =
+      let j = map.(w) in
+      if j >= 0 then begin
+        succ.(!cursor) <- j;
+        incr cursor
+      end
+    in
+    Array.iter (fun v -> Cdag.iter_succ g v keep) to_parent;
+    let inputs = Bitset.create k and outputs = Bitset.create k in
+    Array.iteri
+      (fun i v ->
+        if Cdag.is_input g v then Bitset.add inputs i;
+        if Cdag.is_output g v then Bitset.add outputs i)
+      to_parent;
+    let graph =
+      Cdag.of_rows
+        ~label:(fun i -> Cdag.label g to_parent.(i))
+        ~inputs ~outputs ~succ_off ~succ k
+    in
+    let of_parent v =
+      if v < 0 || v >= n || map.(v) < 0 then None else Some map.(v)
+    in
+    { graph; to_parent; of_parent }
+  end
 
 let induced_list g vs =
   induced g (Bitset.of_list (Cdag.n_vertices g) vs)

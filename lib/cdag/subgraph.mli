@@ -18,7 +18,15 @@ type part = {
 
 val induced : Cdag.t -> Bitset.t -> part
 (** Sub-CDAG induced by a vertex set, with Theorem-2 tagging
-    ([I_i = I ∩ V_i], [O_i = O ∩ V_i]). *)
+    ([I_i = I ∩ V_i], [O_i = O ∩ V_i]).  One counting pass and one
+    fill over the set's successor rows, straight into {!Cdag.of_rows};
+    no row is re-sorted.  Part vertex [i] is labelled, on demand,
+    [Cdag.label g to_parent.(i)] (so an unlabeled parent vertex reads
+    ["v<parent id>"]); the part therefore keeps [g] reachable.
+
+    Inducing on every vertex (a set of capacity and cardinality
+    [n_vertices g]) builds nothing: the part is [g] itself, with
+    identity maps. *)
 
 val induced_list : Cdag.t -> Cdag.vertex list -> part
 
@@ -40,7 +48,8 @@ val drop_inputs : Cdag.t -> part * int
     input vertex, keep the output tagging on the survivors, and return
     the remaining CDAG with [|dI|].  This is the minimal surgery that
     makes Lemma 2 (which requires [I = ∅] but tolerates outputs)
-    applicable. *)
+    applicable.  With no tagged input it induces on every vertex, so
+    only the tagging is rebuilt (see {!induced}). *)
 
 val drop_io : Cdag.t -> part * int * int
 (** The input/output-deletion transform of Corollary 2: remove every
@@ -49,4 +58,5 @@ val drop_io : Cdag.t -> part * int * int
     CDAG — which has empty input and output sets — as a {!part} (so
     surviving vertices can be mapped), together with [|dI|] and [|dO|].
     A lower bound [Q] on the result yields the bound [Q + |dI| + |dO|]
-    on the original. *)
+    on the original.  With neither inputs nor outputs tagged, only the
+    tagging is rebuilt. *)

@@ -11,11 +11,13 @@ let h_cut_size = Dmc_obs.Histogram.make "wavefront.cut_size"
 
 (* The terminal sets of [x]'s min-cut query, [{x} ∪ Anc(x)] and
    [Desc(x)]; [None] when [x] has no descendants, so that its wavefront
-   is just [{x}]. *)
+   is just [{x}].  A vertex without successors has none, which needs no
+   search. *)
 let terminals g x =
-  let desc = Reach.descendants g x in
-  if Bitset.is_empty desc then None
-  else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
+  if Cdag.out_degree g x = 0 then None
+  else
+    let desc = Reach.descendants g x in
+    Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
 
 (* One min-cut query on [g]'s lazily prepared split network. *)
 let cut_of ?budget g prepared x =

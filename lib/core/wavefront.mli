@@ -16,7 +16,10 @@ module Rng := Dmc_util.Rng
 val min_wavefront : ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int
 (** [|Wmin(x)|]: the vertex min-cut separating [{x} ∪ Anc(x)] from
     [Desc(x)] (descendants uncuttable).  Returns 1 when [x] has no
-    descendants (only [x] itself is live).
+    descendants (only [x] itself is live); a vertex without successors
+    answers so at once, with no reachability search and no flow, and
+    is still counted in [wavefront.mincut_calls] and
+    [wavefront.cut_size].
 
     Staged: [min_wavefront ?budget g] builds [g]'s flow network once
     (on first need) and the returned function reuses it for every

@@ -27,37 +27,47 @@ let coord g i =
   if i < 0 || i >= g.size then invalid_arg "Grid.coord: out of range";
   Array.to_list (Array.mapi (fun k s -> i / s mod g.dims.(k)) g.strides)
 
-let star_neighbors g i =
-  let c = Array.of_list (coord g i) in
-  let out = ref [] in
-  for k = rank g - 1 downto 0 do
-    List.iter
-      (fun delta ->
-        let ck = c.(k) + delta in
-        if ck >= 0 && ck < g.dims.(k) then out := (i + (delta * g.strides.(k))) :: !out)
-      [ -1; 1 ]
-  done;
-  List.sort compare !out
+type footprint = Star | Box
 
-let box_neighbors g i =
-  let d = rank g in
-  let c = Array.of_list (coord g i) in
+(* Coordinate of linear index [i] along axis [k]. *)
+let axis g i k = i / g.strides.(k) mod g.dims.(k)
+
+(* Axis [k] and up: -stride_k before the points of the later axes, and
+   +stride_k after them.  Along a size-1 axis nothing moves, and the
+   strides of the axes that do move strictly decrease, so
+   -stride_0 < ... < 0 < ... < +stride_0 is ascending. *)
+let rec iter_star g i f k =
+  if k = Array.length g.dims then f i
+  else begin
+    let c = axis g i k and s = g.strides.(k) in
+    if c > 0 then f (i - s);
+    iter_star g i f (k + 1);
+    if c < g.dims.(k) - 1 then f (i + s)
+  end
+
+(* Offsets in {-1,0,1}^d with axis 0 outermost: the lexicographic order
+   of the in-range neighbor coordinates, which is ascending row-major
+   order. *)
+let rec iter_box g i f k idx =
+  if k = Array.length g.dims then f idx
+  else begin
+    let c = axis g i k and s = g.strides.(k) in
+    if c > 0 then iter_box g i f (k + 1) (idx - s);
+    iter_box g i f (k + 1) idx;
+    if c < g.dims.(k) - 1 then iter_box g i f (k + 1) (idx + s)
+  end
+
+let iter_footprint g shape i f =
+  if i < 0 || i >= g.size then invalid_arg "Grid.iter_footprint: out of range";
+  match shape with Star -> iter_star g i f 0 | Box -> iter_box g i f 0 i
+
+let neighbors shape g i =
   let out = ref [] in
-  (* Enumerate offsets in {-1,0,1}^d via a base-3 counter. *)
-  let n_offsets = int_of_float (3.0 ** float_of_int d) in
-  for code = 0 to n_offsets - 1 do
-    let rest = ref code and ok = ref true and idx = ref 0 and nonzero = ref false in
-    for k = d - 1 downto 0 do
-      let delta = (!rest mod 3) - 1 in
-      rest := !rest / 3;
-      if delta <> 0 then nonzero := true;
-      let ck = c.(k) + delta in
-      if ck < 0 || ck >= g.dims.(k) then ok := false
-      else idx := !idx + (delta * g.strides.(k))
-    done;
-    if !ok && !nonzero then out := (i + !idx) :: !out
-  done;
-  List.sort compare !out
+  iter_footprint g shape i (fun j -> if j <> i then out := j :: !out);
+  List.rev !out
+
+let star_neighbors g i = neighbors Star g i
+let box_neighbors g i = neighbors Box g i
 
 let iter g f =
   for i = 0 to g.size - 1 do

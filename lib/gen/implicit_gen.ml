@@ -164,14 +164,6 @@ let jacobi ?(shape = Stencil.Star) ~dims ~steps () =
   in
   let total = checked_mul "Implicit_gen.jacobi" (steps + 1) npts in
   let grid = Grid.create dims in
-  let neighbors =
-    match shape with
-    | Stencil.Star -> Grid.star_neighbors grid
-    | Stencil.Box -> Grid.box_neighbors grid
-  in
-  (* spatial footprint of point [i], ascending: i merged into its
-     (already sorted) neighbor list *)
-  let footprint i = List.merge compare [ i ] (neighbors i) in
   {
     Implicit.n_vertices = total;
     iter_succ =
@@ -179,14 +171,14 @@ let jacobi ?(shape = Stencil.Star) ~dims ~steps () =
         let t = v / npts and i = v mod npts in
         if t < steps then begin
           let base = (t + 1) * npts in
-          List.iter (fun j -> f (base + j)) (footprint i)
+          Grid.iter_footprint grid shape i (fun j -> f (base + j))
         end);
     iter_pred =
       (fun v f ->
         let t = v / npts and i = v mod npts in
         if t > 0 then begin
           let base = (t - 1) * npts in
-          List.iter (fun j -> f (base + j)) (footprint i)
+          Grid.iter_footprint grid shape i (fun j -> f (base + j))
         end);
     is_input = (fun v -> v < npts);
     is_output = (fun v -> v >= steps * npts);

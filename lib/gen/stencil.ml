@@ -1,7 +1,7 @@
 module Cdag = Dmc_cdag.Cdag
 module B = Cdag.Builder
 
-type shape = Star | Box
+type shape = Grid.footprint = Star | Box
 
 type t = {
   graph : Cdag.t;
@@ -22,16 +22,10 @@ let jacobi ?(shape = Star) ~dims ~steps () =
         let v = B.add_vertex ~label:(Printf.sprintf "u[t%d,%d]" t i) b in
         vertex_of.((t * npts) + i) <- v)
   done;
-  let neighbors =
-    match shape with
-    | Star -> Grid.star_neighbors grid
-    | Box -> Grid.box_neighbors grid
-  in
   for t = 0 to steps - 1 do
     Grid.iter grid (fun i ->
         let dst = vid (t + 1) i in
-        B.add_edge b (vid t i) dst;
-        List.iter (fun j -> B.add_edge b (vid t j) dst) (neighbors i))
+        Grid.iter_footprint grid shape i (fun j -> B.add_edge b (vid t j) dst))
   done;
   let time_slice t =
     List.init npts (fun i -> vid t i)

@@ -4,7 +4,7 @@ module Cdag := Dmc_cdag.Cdag
     on d-dimensional grids — the workload of Section 5.4 and the
     heat-equation discretization of Section 5.1. *)
 
-type shape =
+type shape = Grid.footprint =
   | Star  (** von Neumann neighborhood: [2d + 1] points (5-point in 2D) *)
   | Box   (** Moore neighborhood: [3^d] points (9-point in 2D) *)
 

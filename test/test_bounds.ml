@@ -320,6 +320,21 @@ let test_wavefront_chain () =
   check "middle" 1 (Wavefront.min_wavefront g 3);
   check "wmax" 1 (Wavefront.wmax_exact g)
 
+(* A sink's query answers 1 without a search, and is still counted as
+   a min-cut call of size 1. *)
+let test_wavefront_sink_counted () =
+  let g = Cdag.retag (Dmc_gen.Shapes.chain 7) ~inputs:[] ~outputs:[] in
+  Dmc_obs.Registry.reset ();
+  Dmc_obs.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dmc_obs.Registry.set_enabled false) @@ fun () ->
+  check "sink" 1 (Wavefront.min_wavefront g 6);
+  check "counted" 1 (Dmc_obs.Counter.value (Dmc_obs.Counter.make "wavefront.mincut_calls"));
+  let h = Dmc_obs.Histogram.make "wavefront.cut_size" in
+  check "observed once" 1 (Dmc_obs.Histogram.count h);
+  check "of size 1" 1 (Dmc_obs.Histogram.sum h);
+  Alcotest.(check int) "no paths needed" 0
+    (List.length (Wavefront.witness g 6).Wavefront.paths)
+
 let test_wavefront_parallel_paths () =
   (* The CG/GMRES pattern in miniature: a scalar x reads k sources, and
      each source is also read again after x — so at the instant x
@@ -610,6 +625,7 @@ let () =
       ( "wavefront",
         [
           Alcotest.test_case "chain" `Quick test_wavefront_chain;
+          Alcotest.test_case "sink counted" `Quick test_wavefront_sink_counted;
           Alcotest.test_case "parallel paths" `Quick test_wavefront_parallel_paths;
           Alcotest.test_case "diamond anti-diagonal" `Quick test_wavefront_diamond_antidiagonal;
           Alcotest.test_case "sampled below exact" `Quick test_wavefront_sampled_le_exact;

@@ -10,6 +10,8 @@ module Serialize = Dmc_cdag.Serialize
 module Dot = Dmc_cdag.Dot
 module Bitset = Dmc_util.Bitset
 module Rng = Dmc_util.Rng
+module Random_dag = Dmc_gen.Random_dag
+module Reference = Dmc_testlib.Reference
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -231,6 +233,178 @@ let test_drop_io () =
   check "survivors keep outputs" 1 (Cdag.n_outputs part_i.Subgraph.graph);
   check "three survivors" 3 (Cdag.n_vertices part_i.Subgraph.graph)
 
+(* A random DAG with every third vertex labelled and the rest not, so
+   part labels exercise both [Cdag.label] cases. *)
+let random_labelled_dag rng =
+  let g =
+    match Rng.int rng 3 with
+    | 0 ->
+        Random_dag.daggen rng ~n:(2 + Rng.int rng 60) ~fat:(Rng.float rng 1.0)
+          ~density:(Rng.float rng 1.0) ~ccr:(Rng.int rng 4)
+    | 1 ->
+        Random_dag.layered rng ~layers:(1 + Rng.int rng 5) ~width:(1 + Rng.int rng 6)
+          ~edge_prob:0.4
+    | _ -> Random_dag.gnp rng ~n:(1 + Rng.int rng 30) ~edge_prob:0.2
+  in
+  let n = Cdag.n_vertices g in
+  let b = Cdag.Builder.create ~hint:n () in
+  for v = 0 to n - 1 do
+    ignore
+      (if v mod 3 = 0 then Cdag.Builder.add_vertex ~label:(Printf.sprintf "x%d" v) b
+       else Cdag.Builder.add_vertex b)
+  done;
+  Cdag.iter_edges g (Cdag.Builder.add_edge b);
+  Cdag.Builder.freeze ~inputs:(Cdag.inputs g) ~outputs:(Cdag.outputs g) b
+
+(* Empty, singleton, full, or each vertex with a random probability. *)
+let random_subset rng n =
+  let set = Bitset.create n in
+  (match Rng.int rng 5 with
+  | 0 -> ()
+  | 1 -> if n > 0 then Bitset.add set (Rng.int rng n)
+  | 2 -> for v = 0 to n - 1 do Bitset.add set v done
+  | _ ->
+      let p = Rng.float rng 1.0 in
+      for v = 0 to n - 1 do
+        if Rng.float rng 1.0 < p then Bitset.add set v
+      done);
+  set
+
+let prop_induced_matches_reference =
+  QCheck.Test.make ~name:"induced = Builder-based reference on random DAGs" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_labelled_dag rng in
+      let n = Cdag.n_vertices g in
+      let set = random_subset rng n in
+      match
+        Reference.part_diff ~parent_n:n (Subgraph.induced g set) (Reference.induced g set)
+      with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "n=%d, |set|=%d: %s" n (Bitset.cardinal set) d)
+
+let test_induced_full_set_is_identity () =
+  let g, _ = small_diamond () in
+  let part = Subgraph.induced g (Bitset.of_list 4 [ 0; 1; 2; 3 ]) in
+  check_bool "graph itself" true (part.Subgraph.graph == g);
+  Alcotest.(check (array int)) "to_parent" [| 0; 1; 2; 3 |] part.Subgraph.to_parent;
+  List.iter
+    (fun v ->
+      Alcotest.(check (option int)) "of_parent" (if v < 0 || v > 3 then None else Some v)
+        (part.Subgraph.of_parent v))
+    [ -1; 0; 1; 2; 3; 4 ];
+  (* stripping a graph with no tagged I/O keeps every vertex and row *)
+  let g' = Cdag.retag g ~inputs:[] ~outputs:[] in
+  let stripped, di, d_o = Subgraph.drop_io g' in
+  check "nothing dropped" 0 (di + d_o);
+  Alcotest.(check (array int)) "identity map" [| 0; 1; 2; 3 |] stripped.Subgraph.to_parent;
+  Alcotest.(check (option string)) "same graph" None
+    (Reference.graph_diff stripped.Subgraph.graph g')
+
+let prop_freeze_order_insensitive =
+  QCheck.Test.make ~name:"freeze: shuffled, duplicated edges = sorted insertion" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_labelled_dag rng in
+      let n = Cdag.n_vertices g in
+      let build ?inputs ?outputs edges =
+        let b = Cdag.Builder.create () in
+        for v = 0 to n - 1 do
+          ignore (Cdag.Builder.add_vertex ~label:(Cdag.label g v) b)
+        done;
+        Array.iter (fun (u, v) -> Cdag.Builder.add_edge b u v) edges;
+        Cdag.Builder.freeze ?inputs ?outputs b
+      in
+      let sorted = ref [] in
+      Cdag.iter_edges g (fun u v -> sorted := (u, v) :: !sorted);
+      let sorted = Array.of_list (List.rev !sorted) in
+      let messy =
+        Array.concat
+          (Array.to_list (Array.map (fun e -> Array.make (1 + Rng.int rng 3) e) sorted))
+      in
+      Rng.shuffle rng messy;
+      let tags = (Cdag.inputs g, Cdag.outputs g) in
+      let diff a b = Reference.graph_diff a b in
+      match
+        ( diff (build ~inputs:(fst tags) ~outputs:(snd tags) messy)
+            (build ~inputs:(fst tags) ~outputs:(snd tags) sorted),
+          diff (build messy) (build sorted) )
+      with
+      | None, None -> true
+      | Some d, _ | _, Some d -> QCheck.Test.fail_reportf "n=%d: %s" n d)
+
+(* Every cycle has an ascending edge; this one has only that one, so
+   the descending edges are what triggers the acyclicity check. *)
+let test_freeze_rejects_descending_cycle () =
+  let b = Cdag.Builder.create () in
+  for _ = 0 to 3 do ignore (Cdag.Builder.add_vertex b) done;
+  Cdag.Builder.add_edge b 3 2;
+  Cdag.Builder.add_edge b 2 1;
+  Cdag.Builder.add_edge b 1 0;
+  Cdag.Builder.add_edge b 0 3;
+  Alcotest.check_raises "cycle" (Invalid_argument "Cdag: edge relation has a cycle")
+    (fun () -> ignore (Cdag.Builder.freeze b));
+  (* the same descending chain without the closing edge is a DAG *)
+  let b = Cdag.Builder.create () in
+  for _ = 0 to 3 do ignore (Cdag.Builder.add_vertex b) done;
+  Cdag.Builder.add_edge b 3 2;
+  Cdag.Builder.add_edge b 2 1;
+  Cdag.Builder.add_edge b 1 0;
+  let g = Cdag.Builder.freeze b in
+  Alcotest.(check (list int)) "inputs" [ 3 ] (Cdag.inputs g);
+  Alcotest.(check (list int)) "pred 0" [ 1 ] (Cdag.pred_list g 0)
+
+let test_of_rows () =
+  let tags n = (Bitset.create n, Bitset.create n) in
+  let inputs, outputs = tags 4 in
+  (* row 0 unsorted with duplicates, row 1 already ascending, slack at
+     the end of [succ] *)
+  let g =
+    Cdag.of_rows ~label:(fun _ -> "") ~inputs ~outputs
+      ~succ_off:[| 0; 5; 7; 7; 7 |]
+      ~succ:[| 3; 1; 3; 2; 1; 2; 3; 99; 99 |]
+      4
+  in
+  check "edges" 5 (Cdag.n_edges g);
+  Alcotest.(check (list int)) "row 0 sorted, deduplicated" [ 1; 2; 3 ] (Cdag.succ_list g 0);
+  Alcotest.(check (list int)) "row 1 kept" [ 2; 3 ] (Cdag.succ_list g 1);
+  Alcotest.(check (list int)) "pred 3" [ 0; 1 ] (Cdag.pred_list g 3);
+  Alcotest.(check string) "unlabeled" "v2" (Cdag.label g 2);
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let build ?(n = 3) succ_off succ () =
+    let inputs, outputs = tags n in
+    ignore (Cdag.of_rows ~label:(fun _ -> "") ~inputs ~outputs ~succ_off ~succ n)
+  in
+  raises "self-loop" (build [| 0; 1; 1; 1 |] [| 0 |]);
+  raises "successor out of range" (build [| 0; 1; 1; 1 |] [| 3 |]);
+  raises "negative successor" (build [| 0; 1; 1; 1 |] [| -1 |]);
+  raises "cycle" (build [| 0; 1; 2; 2 |] [| 1; 0 |]);
+  raises "offsets past the rows" (build [| 0; 1; 1; 2 |] [| 1 |]);
+  raises "short offsets" (build [| 0; 0 |] [||]);
+  raises "tag capacity" (fun () ->
+      ignore
+        (Cdag.of_rows ~label:(fun _ -> "") ~inputs:(Bitset.create 2) ~outputs:(Bitset.create 3)
+           ~succ_off:[| 0; 0; 0; 0 |] ~succ:[||] 3));
+  Alcotest.check_raises "self-loop message" (Invalid_argument "Cdag.of_rows: self-loop")
+    (build [| 0; 0; 1; 1 |] [| 1 |]);
+  (* labels resolve on demand, "" falling back to "v<id>" *)
+  let inputs, outputs = tags 2 in
+  let asked = ref 0 in
+  let g =
+    Cdag.of_rows ~inputs ~outputs ~succ_off:[| 0; 1; 1 |] ~succ:[| 1 |]
+      ~label:(fun v -> incr asked; if v = 0 then "zero" else "")
+      2
+  in
+  check "no label formatted at construction" 0 !asked;
+  Alcotest.(check (list string)) "labels" [ "zero"; "v1" ] [ Cdag.label g 0; Cdag.label g 1 ];
+  raises "label out of range" (fun () -> ignore (Cdag.label g 2))
+
 (* ------------------------------------------------------------------ *)
 (* Dot / Serialize                                                     *)
 
@@ -401,7 +575,15 @@ let () =
           Alcotest.test_case "partition covers" `Quick test_partition_covers;
           Alcotest.test_case "boundaries" `Quick test_boundaries;
           Alcotest.test_case "drop io" `Quick test_drop_io;
+          Alcotest.test_case "full set is identity" `Quick test_induced_full_set_is_identity;
         ] );
+      qsuite "induced" [ prop_induced_matches_reference ];
+      ( "of_rows",
+        [
+          Alcotest.test_case "rows, validation, labels" `Quick test_of_rows;
+          Alcotest.test_case "descending cycle" `Quick test_freeze_rejects_descending_cycle;
+        ] );
+      qsuite "freeze" [ prop_freeze_order_insensitive ];
       ( "io",
         [
           Alcotest.test_case "dot structure" `Quick test_dot_contains_structure;

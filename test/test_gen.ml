@@ -49,6 +49,37 @@ let test_grid_1d () =
   check "1d star end" 1 (List.length (Grid.star_neighbors g 0));
   Alcotest.(check (list int)) "1d neighbors" [ 2; 4 ] (Grid.star_neighbors g 3)
 
+(* The footprint iterator gives the sequence the list-based
+   neighborhoods gave, with the point merged in, for both shapes, in
+   1-3 dimensions including size-1 axes. *)
+let test_grid_footprint () =
+  List.iter
+    (fun dims ->
+      let g = Grid.create dims in
+      List.iter
+        (fun (shape, reference, wrapper) ->
+          Grid.iter g (fun i ->
+              let seen = ref [] in
+              Grid.iter_footprint g shape i (fun j -> seen := j :: !seen);
+              let what =
+                Printf.sprintf "[%s] point %d"
+                  (String.concat "x" (List.map string_of_int dims)) i
+              in
+              Alcotest.(check (list int)) what
+                (List.merge compare [ i ] (reference g i))
+                (List.rev !seen);
+              Alcotest.(check (list int)) (what ^ " wrapper") (reference g i) (wrapper g i)))
+        [
+          (Grid.Star, Dmc_testlib.Reference.star_neighbors, Grid.star_neighbors);
+          (Grid.Box, Dmc_testlib.Reference.box_neighbors, Grid.box_neighbors);
+        ])
+    [
+      [ 1 ]; [ 7 ]; [ 4; 4 ]; [ 3; 5 ]; [ 1; 6 ]; [ 6; 1 ];
+      [ 3; 4; 5 ]; [ 3; 1; 4 ]; [ 1; 1; 3 ]; [ 2; 2; 1 ];
+    ];
+  Alcotest.check_raises "out of range" (Invalid_argument "Grid.iter_footprint: out of range")
+    (fun () -> Grid.iter_footprint (Grid.create [ 3 ]) Grid.Star 3 ignore)
+
 (* ------------------------------------------------------------------ *)
 (* Linalg                                                              *)
 
@@ -518,6 +549,7 @@ let () =
           Alcotest.test_case "indexing" `Quick test_grid_indexing;
           Alcotest.test_case "neighbors" `Quick test_grid_neighbors;
           Alcotest.test_case "1d" `Quick test_grid_1d;
+          Alcotest.test_case "footprint" `Quick test_grid_footprint;
         ] );
       ( "linalg",
         [

@@ -14,6 +14,8 @@ module Linalg = Dmc_gen.Linalg
 module Stencil = Dmc_gen.Stencil
 module Implicit_gen = Dmc_gen.Implicit_gen
 module Workload = Dmc_gen.Workload
+module Bitset = Dmc_util.Bitset
+module Reference = Dmc_testlib.Reference
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -123,6 +125,136 @@ let test_window () =
   check "whole-window edges" (Cdag.n_edges g)
     (Cdag.n_edges whole.Subgraph.graph)
 
+(* Every family, including box and star stencils over a size-1 axis. *)
+let families =
+  [
+    ("chain:20", Implicit_gen.chain 20);
+    ("tree:13", Implicit_gen.reduction_tree 13);
+    ("diamond:5,6", Implicit_gen.diamond ~rows:5 ~cols:6);
+    ("fft:4", Implicit_gen.butterfly 4);
+    ("matmul:3", Implicit_gen.matmul 3);
+    ("jacobi1d:12,3", Implicit_gen.jacobi_1d ~n:12 ~steps:3);
+    ("jacobi2d:5,3", Implicit_gen.jacobi_2d ~n:5 ~steps:3);
+    ("jacobi3d:3,2", Implicit_gen.jacobi_3d ~n:3 ~steps:2);
+    ("jacobi-star:4x4,2", Implicit_gen.jacobi ~shape:Stencil.Star ~dims:[ 4; 4 ] ~steps:2 ());
+    ("jacobi-box:3x1x4,2", Implicit_gen.jacobi ~shape:Stencil.Box ~dims:[ 3; 1; 4 ] ~steps:2 ());
+  ]
+
+let expect_same what = function
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" what d
+
+let range_set n lo hi =
+  let set = Bitset.create n in
+  for v = lo to hi - 1 do Bitset.add set v done;
+  set
+
+(* Windows straddling the last tagged input, straddling the first
+   tagged output, empty, and whole, against the induced sub-CDAG of
+   the materialized graph and against the hash-table reference. *)
+let test_window_equals_induced () =
+  List.iter
+    (fun (name, (imp : Implicit.t)) ->
+      let n = imp.n_vertices in
+      let m = Implicit.materialize imp in
+      expect_same (name ^ ": materialize") (Reference.graph_diff m (Reference.materialize imp));
+      let last_input = ref (-1) and first_output = ref n in
+      for v = n - 1 downto 0 do
+        if imp.is_input v && !last_input < 0 then last_input := v;
+        if imp.is_output v then first_output := v
+      done;
+      let clamp lo hi = (max 0 lo, min n hi) in
+      let ranges =
+        [
+          clamp (!last_input - 2) (!last_input + 3);
+          clamp (!first_output - 3) (!first_output + 2);
+          (n / 2, n / 2);
+          (0, n);
+        ]
+      in
+      List.iter
+        (fun (lo, hi) ->
+          let what = Printf.sprintf "%s [%d, %d)" name lo hi in
+          let w = Implicit.window imp ~lo ~hi in
+          expect_same what
+            (Reference.part_diff ~parent_n:n w (Subgraph.induced m (range_set n lo hi)));
+          expect_same (what ^ " vs reference")
+            (Reference.part_diff ~parent_n:n w
+               (Reference.induced_ids imp (Array.init (hi - lo) (fun i -> lo + i)))))
+        ranges)
+    families
+
+(* window_of_set reads its list as a set: a repeated id is one vertex. *)
+let test_window_of_set_repeats () =
+  let imp = Implicit_gen.chain 8 in
+  let part = Implicit.window_of_set imp [ 3; 4; 4 ] in
+  let once = Implicit.window_of_set imp [ 3; 4 ] in
+  Alcotest.(check (array int)) "to_parent" [| 3; 4 |] part.Subgraph.to_parent;
+  Alcotest.(check string) "same bytes as [3; 4]"
+    (Dmc_cdag.Serialize.to_string once.Subgraph.graph)
+    (Dmc_cdag.Serialize.to_string part.Subgraph.graph);
+  check "one edge, no isolated copy" 1 (Cdag.n_edges part.Subgraph.graph);
+  List.iter
+    (fun (name, (imp : Implicit.t)) ->
+      let n = imp.n_vertices in
+      let rng = Dmc_util.Rng.create n in
+      let vs = List.init 12 (fun _ -> Dmc_util.Rng.int rng n) in
+      let ids = Array.of_list (List.sort_uniq compare vs) in
+      expect_same (name ^ ": window_of_set")
+        (Reference.part_diff ~parent_n:n
+           (Implicit.window_of_set imp (vs @ List.rev vs))
+           (Reference.induced_ids imp ids)))
+    families
+
+(* Rows that arrive descending and with duplicates are normalized like
+   the Builder does; a self-loop or a cycle is still rejected, and an
+   out-of-range successor still fails materialize but is outside every
+   window. *)
+let test_irregular_rows () =
+  let base =
+    {
+      Implicit.n_vertices = 6;
+      iter_succ =
+        (fun v f ->
+          for w = 5 downto v + 1 do
+            if (v + w) mod 2 = 1 then begin
+              f w;
+              f w
+            end
+          done);
+      iter_pred = (fun _ _ -> ());
+      is_input = (fun v -> v < 2);
+      is_output = (fun v -> v = 5);
+      label = (fun v -> if v = 3 then "" else Printf.sprintf "m%d" v);
+    }
+  in
+  expect_same "materialize"
+    (Reference.graph_diff (Implicit.materialize base) (Reference.materialize base));
+  List.iter
+    (fun (lo, hi) ->
+      expect_same
+        (Printf.sprintf "window [%d, %d)" lo hi)
+        (Reference.part_diff ~parent_n:6 (Implicit.window base ~lo ~hi)
+           (Reference.induced_ids base (Array.init (hi - lo) (fun i -> lo + i)))))
+    [ (0, 6); (1, 5); (2, 3) ];
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let self_loop = { base with iter_succ = (fun v f -> f v) } in
+  raises "self-loop window" (fun () -> Implicit.window self_loop ~lo:1 ~hi:3);
+  raises "self-loop materialize" (fun () -> Implicit.materialize self_loop);
+  let cycle = { base with iter_succ = (fun v f -> f (v lxor 1)) } in
+  raises "cycle window" (fun () -> Implicit.window cycle ~lo:2 ~hi:4);
+  raises "cycle materialize" (fun () -> Implicit.materialize cycle);
+  let stray = { base with iter_succ = (fun v f -> f (v + 7)) } in
+  raises "out-of-range materialize" (fun () -> Implicit.materialize stray);
+  raises "reference agrees" (fun () -> Reference.materialize stray);
+  expect_same "out-of-range successor is outside the window"
+    (Reference.part_diff ~parent_n:6 (Implicit.window stray ~lo:0 ~hi:6)
+       (Reference.induced_ids stray (Array.init 6 Fun.id)))
+
 (* huge instances: construction and local adjacency stay O(1)-ish *)
 let test_huge_local_access () =
   let imp = Implicit_gen.jacobi_1d ~n:1_000_000_000 ~steps:8 in
@@ -178,6 +310,9 @@ let () =
       ( "windows",
         [
           Alcotest.test_case "window" `Quick test_window;
+          Alcotest.test_case "window = induced, every family" `Quick test_window_equals_induced;
+          Alcotest.test_case "window_of_set repeats" `Quick test_window_of_set_repeats;
+          Alcotest.test_case "irregular rows" `Quick test_irregular_rows;
           Alcotest.test_case "huge local access" `Quick test_huge_local_access;
         ] );
       ( "registry",

@@ -1,0 +1,38 @@
+module Cdag := Dmc_cdag.Cdag
+module Implicit := Dmc_cdag.Implicit
+module Subgraph := Dmc_cdag.Subgraph
+module Bitset := Dmc_util.Bitset
+
+(** Straightforward reference builds, kept only as test oracles for the
+    direct CSR fills of {!Subgraph.induced}, {!Implicit.window} and
+    {!Implicit.materialize}, and for {!Dmc_gen.Grid.iter_footprint}.
+    Each goes through {!Cdag.Builder} one vertex and one edge at a time,
+    with every label formatted up front. *)
+
+val induced : Cdag.t -> Bitset.t -> Subgraph.part
+(** The induced sub-CDAG with Theorem-2 tagging, built vertex by vertex
+    with part label [i] = [Cdag.label g to_parent.(i)]. *)
+
+val materialize : Implicit.t -> Cdag.t
+(** Every vertex (labelled), every successor edge, then the tags. *)
+
+val induced_ids : Implicit.t -> int array -> Subgraph.part
+(** The sub-CDAG of an implicit graph induced by an ascending id array,
+    with membership through a hash table keyed by parent id. *)
+
+val star_neighbors : Dmc_gen.Grid.t -> int -> int list
+(** The von Neumann neighbors of a point, excluding it, ascending. *)
+
+val box_neighbors : Dmc_gen.Grid.t -> int -> int list
+(** The Moore neighbors of a point, excluding it, ascending. *)
+
+(** {1 Comparisons} *)
+
+val graph_diff : Cdag.t -> Cdag.t -> string option
+(** [None] when the two graphs serialize byte-identically and agree on
+    every predecessor row and every label; otherwise the first
+    difference. *)
+
+val part_diff : parent_n:int -> Subgraph.part -> Subgraph.part -> string option
+(** {!graph_diff} on the part graphs, plus equal [to_parent] and equal
+    [of_parent] on every id in [\[-2, parent_n + 2)]. *)
