@@ -303,6 +303,8 @@ let bounds_cmd =
       print_engine_list ();
       exit 0
     end;
+    (* every mode below takes S as a capacity *)
+    if s < 1 then failwith "bounds: S must be >= 1";
     install_interrupt_handlers ();
     setup_obs ~trace ~profile;
     if symbolic then begin

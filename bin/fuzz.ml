@@ -12,7 +12,10 @@
      6. the LRU simulator's traffic dominates the certified bound;
      7. serialization round-trips;
      8. the three-level hierarchical game validates with both
-        boundaries above their sequential bounds.
+        boundaries above their sequential bounds;
+     9. every cut ceiling bounds its min cut, and the pruned exact
+        wavefront sweep equals the per-vertex maximum, on the graph
+        and on both Corollary-2 strips.
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -145,6 +148,23 @@ let one_case rng g ~s =
         (Dmc_core.Prbw_game.boundary_traffic stats ~level:3 + unused_inputs
         >= Dmc_core.Wavefront.lower_bound g ~s:s2)
   | Error e -> raise (Violation ("hierarchical: " ^ e.reason)));
+
+  (* 9: cut ceilings and the pruned sweep; draws nothing from [rng] *)
+  let ceilings g =
+    let cut = Dmc_core.Wavefront.min_wavefront g in
+    let wmax =
+      Cdag.fold_vertices g
+        (fun best x ->
+          let w = cut x in
+          require "ceiling >= min cut" (w <= Dmc_core.Wavefront.cut_ceiling g x);
+          max best w)
+        0
+    in
+    require "wmax_exact = per-vertex max" (Dmc_core.Wavefront.wmax_exact g = wmax)
+  in
+  let part_i, _ = Dmc_cdag.Subgraph.drop_inputs g in
+  let part_io, _, _ = Dmc_cdag.Subgraph.drop_io g in
+  List.iter ceilings [ g; part_i.graph; part_io.graph ];
   n
 
 (* ------------------------------------------------------------------ *)

@@ -166,9 +166,6 @@ module Engine = struct
   let partition_u_lb ?budget g ~s =
     run ?budget (fun () -> Spartition.lower_bound_u ?budget g ~s)
 
-  let wavefront_lb ?budget ?samples ?rng g ~s =
-    run ?budget (fun () -> Wavefront.lower_bound ?budget ?samples ?rng g ~s)
-
   let strategy_io ?budget ?policy ?order g ~s =
     run ?budget (fun () -> Strategy.io ?budget ?policy ?order g ~s)
 end
@@ -546,23 +543,16 @@ let certify_wavefront ?(samples = 64) g ~s =
   if n = 0 then true
   else begin
     let candidates =
-      if n <= Wavefront.exact_threshold then List.init n Fun.id
+      if n <= Wavefront.exact_threshold then Array.init n Fun.id
       else begin
         let rng = Dmc_util.Rng.create 0x5eed in
-        List.init samples (fun _ -> Dmc_util.Rng.int rng n)
+        Array.init samples (fun _ -> Dmc_util.Rng.int rng n)
       end
     in
-    let wavefront = Wavefront.min_wavefront stripped in
-    let best = ref 0 and best_w = ref (-1) in
-    List.iter
-      (fun x ->
-        let w = wavefront x in
-        if w > !best_w then begin
-          best_w := w;
-          best := x
-        end)
-      candidates;
-    let witness = Wavefront.witness stripped !best in
-    Wavefront.verify_witness stripped witness
-    && (witness.Wavefront.paths = [] || List.length witness.Wavefront.paths = !best_w)
+    match Wavefront.wmax_over stripped ~at_least:0 candidates with
+    | _, None -> true
+    | best_w, Some best ->
+        let witness = Wavefront.witness stripped best in
+        Wavefront.verify_witness stripped witness
+        && (witness.Wavefront.paths = [] || List.length witness.Wavefront.paths = best_w)
   end

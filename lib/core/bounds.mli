@@ -99,10 +99,6 @@ module Engine : sig
   val partition_u_lb :
     ?budget:Dmc_util.Budget.t -> Cdag.t -> s:int -> int outcome
 
-  val wavefront_lb :
-    ?budget:Dmc_util.Budget.t -> ?samples:int -> ?rng:Dmc_util.Rng.t ->
-    Cdag.t -> s:int -> int outcome
-
   val strategy_io :
     ?budget:Dmc_util.Budget.t -> ?policy:Strategy.policy ->
     ?order:Cdag.vertex array -> Cdag.t -> s:int -> int outcome

@@ -31,20 +31,11 @@ let wavefront_sum _g ~pieces ~s =
   Array.fold_left
     (fun acc ((p : Subgraph.part), targets) ->
       let stripped, di = Subgraph.drop_inputs p.graph in
-      let d_o = 0 in
-      let wavefront = Wavefront.min_wavefront stripped.graph in
-      let best =
-        List.fold_left
-          (fun best v ->
-            match p.of_parent v with
-            | None -> best
-            | Some v' -> (
-                match stripped.of_parent v' with
-                | None -> best
-                | Some v'' ->
-                    max best
-                      (Wavefront.lemma2_bound ~wavefront:(wavefront v'') ~s)))
-          0 targets
+      let targets =
+        List.filter_map (fun v -> Option.bind (p.of_parent v) stripped.of_parent) targets
       in
-      acc + best + di + d_o)
+      let wavefront, _ =
+        Wavefront.wmax_over stripped.graph ~at_least:s (Array.of_list targets)
+      in
+      acc + Wavefront.lemma2_bound ~wavefront ~s + di)
     0 pieces

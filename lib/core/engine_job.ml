@@ -61,6 +61,8 @@ let run job =
     Error (Dmc_util.Budget.Invalid_input ("unknown engine: " ^ job.engine))
   else if job.p < 1 then
     Error (Dmc_util.Budget.Invalid_input "p must be positive")
+  else if job.s < 1 then
+    Error (Dmc_util.Budget.Invalid_input "s must be positive")
   else
     match Dmc_cdag.Serialize.of_string job.graph with
     | Error msg -> Error (Dmc_util.Budget.Invalid_input ("bad graph: " ^ msg))

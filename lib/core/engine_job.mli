@@ -35,6 +35,6 @@ val of_json : Dmc_util.Json.t -> (t, string) result
 val run : t -> (Dmc_util.Json.t, Dmc_util.Budget.failure) result
 (** Execute the job's full fallback ladder and return the row as a
     {!Bounds.row_to_json} payload.  [Error] only for jobs broken
-    before any engine runs: an unparseable graph or an unknown engine
-    name is [Invalid_input] — resource exhaustion inside the ladder
-    degrades within the row instead. *)
+    before any engine runs: an unparseable graph, an unknown engine
+    name, or [p] or [s] below 1 is [Invalid_input] — resource
+    exhaustion inside the ladder degrades within the row instead. *)

@@ -34,29 +34,71 @@ let cut_of ?budget g prepared x =
 
 let min_wavefront ?budget g = cut_of ?budget g (lazy (Vertex_cut.prepare g))
 
-let wmax_exact ?budget g =
+(* Two cuts that need no flow: the source set [{x} ∪ Anc(x)] itself,
+   and the vertices outside [Desc(x)] with an edge into it, through
+   which every path into [Desc(x)] must enter. *)
+let cut_ceiling g x =
+  if Cdag.out_degree g x = 0 then 1
+  else begin
+    let desc = Reach.descendants g x in
+    let entry = Bitset.create (Cdag.n_vertices g) in
+    Bitset.iter
+      (fun v ->
+        Cdag.iter_pred g v (fun u -> if not (Bitset.mem desc u) then Bitset.add entry u))
+      desc;
+    min (1 + Bitset.cardinal (Reach.ancestors g x)) (Bitset.cardinal entry)
+  end
+
+(* Visit the distinct vertices of [vs] in descending ceiling order,
+   ties by first position, and flow only while a ceiling beats the best
+   value so far: no later vertex can then raise it. *)
+let wmax_over g ~at_least vs =
+  let seen = Bitset.create (Cdag.n_vertices g) in
+  let vs =
+    Array.fold_left
+      (fun acc x ->
+        if Bitset.mem seen x then acc
+        else begin
+          Bitset.add seen x;
+          x :: acc
+        end)
+      [] vs
+    |> List.rev |> Array.of_list
+  in
+  let ceiling = Array.map (cut_ceiling g) vs in
+  let order = Array.init (Array.length vs) Fun.id in
+  Array.stable_sort (fun i j -> compare ceiling.(j) ceiling.(i)) order;
+  let wavefront = min_wavefront g in
+  let rec visit k best arg =
+    if k = Array.length order || ceiling.(order.(k)) <= best then (best, arg)
+    else
+      let x = vs.(order.(k)) in
+      let w = wavefront x in
+      if w > best then visit (k + 1) w (Some x) else visit (k + 1) best arg
+  in
+  visit 0 at_least None
+
+let sweep_exact g ~at_least =
   Dmc_obs.Span.with_
     ~attrs:[ ("n", string_of_int (Cdag.n_vertices g)) ]
     "wavefront.wmax_exact"
-    (fun () ->
-      let wavefront = min_wavefront ?budget g in
-      Cdag.fold_vertices g (fun acc x -> max acc (wavefront x)) 0)
+    (fun () -> wmax_over g ~at_least (Array.init (Cdag.n_vertices g) Fun.id))
 
-let wmax_sampled ?budget rng g ~samples =
+(* Every draw is taken from [rng] up front, so a generator shared
+   across calls stays in step however many flows run. *)
+let sweep_sampled rng g ~samples ~at_least =
   let n = Cdag.n_vertices g in
-  if n = 0 then 0
+  if n = 0 then (at_least, None)
   else
     Dmc_obs.Span.with_
       ~attrs:[ ("n", string_of_int n); ("samples", string_of_int samples) ]
       "wavefront.wmax_sampled"
       (fun () ->
-        let wavefront = min_wavefront ?budget g in
-        let best = ref 0 in
-        for _ = 1 to samples do
-          let x = Rng.int rng n in
-          best := max !best (wavefront x)
-        done;
-        !best)
+        wmax_over g ~at_least (Array.init (max 0 samples) (fun _ -> Rng.int rng n)))
+
+let wmax_exact g = fst (sweep_exact g ~at_least:0)
+
+let wmax_sampled rng g ~samples = fst (sweep_sampled rng g ~samples ~at_least:0)
 
 (* Anytime sampling for the fallback ladder: draw until the budget
    runs out and keep the best bound found so far.  Sound because
@@ -148,14 +190,17 @@ let combine ~s (w_inputs, inputs_credit) (w_io, io_credit) =
     (lemma2_bound ~wavefront:w_inputs ~s + inputs_credit)
     (lemma2_bound ~wavefront:w_io ~s + io_credit)
 
-let lower_bound ?budget ?(samples = 64) ?rng g ~s =
+(* Lemma 2 reads a wavefront only through [2 max(0, w - S)], so a
+   sweep floored at [s] gives the same bound and flows only where a
+   ceiling exceeds [s]. *)
+let lower_bound ?(samples = 64) ?rng g ~s =
   let wmax stripped =
     let n = Cdag.n_vertices stripped in
     if n = 0 then 0
-    else if n <= exact_threshold then wmax_exact ?budget stripped
+    else if n <= exact_threshold then fst (sweep_exact stripped ~at_least:s)
     else
       let rng = match rng with Some r -> r | None -> Rng.create 0x5eed in
-      wmax_sampled ?budget rng stripped ~samples
+      fst (sweep_sampled rng stripped ~samples ~at_least:s)
   in
   let (g_inputs, inputs_credit), (g_io, io_credit) = strip g in
   let w_inputs = wmax g_inputs in

@@ -17,23 +17,59 @@ val min_wavefront : ?budget:Budget.t -> Cdag.t -> Cdag.vertex -> int
 (** [|Wmin(x)|]: the vertex min-cut separating [{x} ∪ Anc(x)] from
     [Desc(x)] (descendants uncuttable).  Returns 1 when [x] has no
     descendants (only [x] itself is live); a vertex without successors
-    answers so at once, with no reachability search and no flow, and
-    is still counted in [wavefront.mincut_calls] and
-    [wavefront.cut_size].
+    answers so at once, with no reachability search and no flow.
+
+    Every query asked of it, sink or not, counts once in
+    [wavefront.mincut_calls] and is observed in [wavefront.cut_size].
+    The sweeps below ask only the queries their ceilings cannot rule
+    out, so those observations count the queries asked, not the
+    vertices swept.
 
     Staged: [min_wavefront ?budget g] builds [g]'s flow network once
     (on first need) and the returned function reuses it for every
     vertex it is applied to, one vertex at a time.  A sweep over many
     vertices should apply it once to [g] and keep the result. *)
 
-val wmax_exact : ?budget:Budget.t -> Cdag.t -> int
-(** [w_max = max_x |Wmin(x)|] over every vertex — one max-flow per
-    vertex, so quadratic-ish; intended for small and mid-size CDAGs. *)
+val cut_ceiling : Cdag.t -> Cdag.vertex -> int
+(** A flow-free upper bound on {!min_wavefront}: 1 for a vertex without
+    successors, else [min (1 + |Anc(x)|) |In(Desc(x))|], where [In(D)]
+    is the set of vertices outside [D] with an edge into [D].
 
-val wmax_sampled : ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
-(** Max of [|Wmin(x)|] over a random sample of vertices.  Always a
-    valid (possibly weaker) stand-in for [w_max] in {!lemma2_bound},
-    because Lemma 2 holds for {e every} [x]. *)
+    Proof: both sets are cuts that avoid the uncuttable [Desc(x)].  The
+    source set [{x} ∪ Anc(x)] is one, since every path starts in it.
+    [In(Desc(x))] is the other: a path from the source set into
+    [Desc(x)] starts outside [Desc(x)] (the graph is acyclic), so the
+    vertex just before its first vertex in [Desc(x)] lies in
+    [In(Desc(x))].  The min cut is at most either size.  Costs one
+    descendant and one ancestor search, no flow. *)
+
+val wmax_over :
+  Cdag.t -> at_least:int -> Cdag.vertex array -> int * Cdag.vertex option
+(** [wmax_over g ~at_least vs] is [max at_least (max_{x ∈ vs}
+    min_wavefront g x)], and [Some x] for the first vertex whose cut
+    set that value when it exceeds [at_least] ([None] otherwise).
+
+    The one primitive behind every unbudgeted max-of-cuts sweep: it
+    computes the {!cut_ceiling} of each distinct vertex of [vs], visits
+    them in descending ceiling order (ties by first position), and
+    stops at the first ceiling that does not exceed the best value so
+    far, which starts at [at_least].  No skipped vertex could have
+    raised the maximum, so the value is the full sweep's; only the
+    number of flows changes.  A Lemma-2 consumer passes [~at_least:s],
+    since [2 max(0, w - S)] is the same for [max w S] as for [w]. *)
+
+val wmax_exact : Cdag.t -> int
+(** [w_max = max_x |Wmin(x)|] over every vertex: {!wmax_over} with
+    [~at_least:0], so one max-flow per vertex whose ceiling beats the
+    best cut found so far — at worst one per vertex.  Intended for
+    small and mid-size CDAGs. *)
+
+val wmax_sampled : Rng.t -> Cdag.t -> samples:int -> int
+(** Max of [|Wmin(x)|] over [samples] vertices drawn from [rng] (all
+    drawn before any flow runs, so a shared generator stays in step),
+    through {!wmax_over}.  Always a valid (possibly weaker) stand-in
+    for [w_max] in {!lemma2_bound}, because Lemma 2 holds for
+    {e every} [x]. *)
 
 val wmax_sampled_anytime :
   ?budget:Budget.t -> Rng.t -> Cdag.t -> samples:int -> int
@@ -71,14 +107,17 @@ val verify_witness : Cdag.t -> witness -> bool
     [Desc(x)], and the paths share no vertex outside [Desc(x)].
     Deliberately reimplements nothing from the flow layer. *)
 
-val lower_bound :
-  ?budget:Budget.t -> ?samples:int -> ?rng:Rng.t -> Cdag.t -> s:int -> int
-(** End-to-end bound for an arbitrary CDAG: strip the tagged
-    input/output vertices (Corollary 2), compute the max min-wavefront
-    of the remainder — exactly when it has at most [exact_threshold]
-    vertices, else over [samples] sampled vertices (default 64) — and
-    return [2 (w - S) + |dI| + |dO|], clamped below by
-    [|dI| + |dO|]. *)
+val lower_bound : ?samples:int -> ?rng:Rng.t -> Cdag.t -> s:int -> int
+(** End-to-end bound for an arbitrary CDAG, through Corollary 2's two
+    stripped graphs: [g] with its tagged inputs dropped (credit
+    [|dI|]), and [g] with its tagged inputs and outputs dropped (credit
+    [|dI| + |dO|]).  For each, take the max min-wavefront [w] of the
+    remainder — exactly when it has at most {!exact_threshold}
+    vertices, else over [samples] draws (default 64) from [rng]
+    (default: a fresh generator seeded [0x5eed] per stripped graph) —
+    and return the better of the two [2 max(0, w - S) + credit].  Each
+    sweep is {!wmax_over} with [~at_least:s], so no flow runs on a
+    vertex whose ceiling is at most [S]. *)
 
 val exact_threshold : int
 (** Vertex-count cutoff (512) below which {!lower_bound} uses

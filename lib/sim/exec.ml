@@ -88,66 +88,3 @@ let run g ~order config =
     horizontal_total = Array.fold_left ( + ) 0 horizontal_in;
     computed = !computed;
   }
-
-module Implicit = Dmc_cdag.Implicit
-
-(* Streaming execution in id order over an implicit graph.  Id order
-   is a topological order exactly when the graph is id-monotone, which
-   is checked on the fly (a violating edge raises before any further
-   state is touched).  Memory is bounded by the cache capacities plus
-   the replication tables — never by a frozen CSR — so graphs far past
-   materialization limits execute in constant-ish space. *)
-let run_stream imp config =
-  if config.nodes <= 0 then invalid_arg "Exec.run_stream: nodes must be positive";
-  let n = imp.Implicit.n_vertices in
-  Dmc_obs.Span.with_
-    ~attrs:
-      [
-        ("nodes", string_of_int config.nodes);
-        ("n_vertices", string_of_int n);
-      ]
-    "sim.exec.run_stream"
-  @@ fun () ->
-  let owner v =
-    if config.nodes = 1 then 0
-    else begin
-      let p = config.owner v in
-      if p < 0 || p >= config.nodes then
-        invalid_arg "Exec.run_stream: owner out of range";
-      p
-    end
-  in
-  let hier =
-    Array.init config.nodes (fun _ ->
-        Hier_sim.create ~capacities:config.capacities ())
-  in
-  (* hash tables instead of length-n bitsets: the replicated set stays
-     proportional to the ghost traffic, not the graph *)
-  let replicated = Array.init config.nodes (fun _ -> Hashtbl.create 64) in
-  let horizontal_in = Array.make config.nodes 0 in
-  let computed = ref 0 in
-  for v = 0 to n - 1 do
-    if not (imp.Implicit.is_input v) then begin
-      let p = owner v in
-      imp.Implicit.iter_pred v (fun u ->
-          if u >= v then
-            invalid_arg "Exec.run_stream: graph is not id-monotone";
-          let home = owner u in
-          if home <> p && not (Hashtbl.mem replicated.(p) u) then begin
-            horizontal_in.(p) <- horizontal_in.(p) + 1;
-            Dmc_obs.Counter.incr c_remote;
-            Hashtbl.replace replicated.(p) u ()
-          end;
-          Hier_sim.read hier.(p) u);
-      Hier_sim.write hier.(p) v;
-      Dmc_obs.Counter.incr c_computes;
-      incr computed
-    end
-  done;
-  Array.iter Hier_sim.flush hier;
-  {
-    vertical = Array.map Hier_sim.traffic hier;
-    horizontal_in;
-    horizontal_total = Array.fold_left ( + ) 0 horizontal_in;
-    computed = !computed;
-  }

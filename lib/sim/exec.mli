@@ -39,13 +39,3 @@ val run : Cdag.t -> order:Cdag.vertex array -> config -> result
 (** [order] must be a topological order of the non-input vertices (the
     same contract as {!Dmc_core.Strategy.schedule}); raises
     [Invalid_argument] otherwise. *)
-
-val run_stream : Dmc_cdag.Implicit.t -> config -> result
-(** Execute an implicit graph in ascending id order — a topological
-    order whenever the graph is id-monotone (checked on the fly;
-    raises [Invalid_argument] on a violating edge).  Equivalent to
-    {!run} with the id-order schedule, but memory is bounded by the
-    cache capacities and replication tables instead of a frozen CSR,
-    so it handles graphs far past materialization limits.  Inputs are
-    never fired; they are faulted in from the backing store on first
-    read, exactly as in {!run}. *)

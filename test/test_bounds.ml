@@ -435,6 +435,97 @@ let prop_certify_wavefront =
       Bounds.certify_wavefront g ~s:4)
 
 (* ------------------------------------------------------------------ *)
+(* Cut ceilings and the pruned sweeps                                  *)
+
+module Reference = Dmc_testlib.Reference
+
+let ceiling_bounds_cut g =
+  let cut = Wavefront.min_wavefront g in
+  Cdag.fold_vertices g (fun ok x -> ok && cut x <= Wavefront.cut_ceiling g x) true
+
+(* Every pruned sweep against its full sweep: exact, sampled (the
+   generator must also stay in step), [lower_bound] at each S and both
+   sample counts, and a sliced [Decompose.wavefront_sum]. *)
+let sweeps_match_oracle ~seed g =
+  let n = Cdag.n_vertices g in
+  let sampled samples =
+    let rng = Rng.create seed and rng' = Rng.create seed in
+    let w = Wavefront.wmax_sampled rng g ~samples in
+    w = Reference.wmax_sampled rng' g ~samples && Rng.next rng = Rng.next rng'
+  in
+  let pieces =
+    let slices = 3 in
+    Decompose.iteration_slices g ~slice_of:(fun v -> v * slices / n) ~n_slices:slices
+    |> Array.mapi (fun i part ->
+           (part, List.filter (fun v -> (v + i + seed) mod 3 <> 0) (List.init n Fun.id)))
+  in
+  Wavefront.wmax_exact g = Reference.wmax_exact g
+  && sampled 8 && sampled 64
+  && List.for_all
+       (fun s ->
+         List.for_all
+           (fun samples ->
+             Wavefront.lower_bound ~samples g ~s = Reference.lower_bound ~samples g ~s)
+           [ 64; 8 ]
+         && Decompose.wavefront_sum g ~pieces ~s = Reference.wavefront_sum ~pieces ~s)
+       [ 1; 2; 4; 8; 16 ]
+
+let daggen_spec =
+  QCheck.(
+    map
+      (fun (seed, n, fat, dens) ->
+        Printf.sprintf "daggen:%d,%d,%d,%d,%d" seed n fat dens (seed mod 4))
+      (quad (int_bound 100_000) (int_range 2 40) (int_range 10 90) (int_range 10 90)))
+
+let prop_ceiling_structural =
+  QCheck.Test.make ~name:"cut ceiling bounds the min cut (structural)" ~count:60
+    (Dmc_testlib.Gen_cdag.arbitrary ~max_n:24 ())
+    (fun spec -> ceiling_bounds_cut (Dmc_testlib.Gen_cdag.spec_to_cdag spec))
+
+let prop_ceiling_daggen =
+  QCheck.Test.make ~name:"cut ceiling bounds the min cut (daggen)" ~count:40 daggen_spec
+    (fun spec -> ceiling_bounds_cut (Dmc_gen.Workload.parse_exn spec))
+
+let prop_sweeps_structural =
+  QCheck.Test.make ~name:"pruned sweeps = full sweeps (structural)" ~count:60
+    QCheck.(pair (Dmc_testlib.Gen_cdag.arbitrary ~max_n:24 ()) (int_bound 100_000))
+    (fun (spec, seed) ->
+      sweeps_match_oracle ~seed (Dmc_testlib.Gen_cdag.spec_to_cdag spec))
+
+let prop_sweeps_daggen =
+  QCheck.Test.make ~name:"pruned sweeps = full sweeps (daggen)" ~count:40 daggen_spec
+    (fun spec -> sweeps_match_oracle ~seed:(Hashtbl.hash spec) (Dmc_gen.Workload.parse_exn spec))
+
+(* Both strips above [exact_threshold], so [lower_bound] samples. *)
+let test_sampled_lower_bound_matches () =
+  let g = Dmc_gen.Workload.parse_exn "daggen:7,560,50,40,1" in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun samples ->
+          check
+            (Printf.sprintf "S=%d samples=%d" s samples)
+            (Reference.lower_bound ~samples g ~s)
+            (Wavefront.lower_bound ~samples g ~s))
+        [ 64; 8 ])
+    [ 1; 2; 4; 8; 16 ]
+
+let mincut_calls f =
+  Dmc_obs.Registry.reset ();
+  Dmc_obs.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dmc_obs.Registry.set_enabled false) @@ fun () ->
+  ignore (f ());
+  Dmc_obs.Counter.value (Dmc_obs.Counter.make "wavefront.mincut_calls")
+
+let test_pruned_query_counts () =
+  (* every ceiling of a chain is 1, so the first query settles it *)
+  check "chain 64" 1 (mincut_calls (fun () -> Wavefront.wmax_exact (Dmc_gen.Shapes.chain 64)));
+  (* no tile ceiling exceeds S = 32, so the Lemma-2 term is 0 unasked *)
+  check "symbolic jacobi1d" 0
+    (mincut_calls (fun () ->
+         Dmc_core.Symbolic_bounds.bound ~spec:"jacobi1d:700000000" ~s:32 ()))
+
+(* ------------------------------------------------------------------ *)
 (* Decompose                                                           *)
 
 let test_adjust_arithmetic () =
@@ -633,7 +724,12 @@ let () =
           Alcotest.test_case "cg witness" `Quick test_witness_cg;
           Alcotest.test_case "witness tampering" `Quick test_witness_rejects_tampering;
           Alcotest.test_case "io tags counted" `Quick test_lower_bound_counts_io_tags;
+          Alcotest.test_case "sampled lower bound = full sweep" `Quick
+            test_sampled_lower_bound_matches;
+          Alcotest.test_case "pruned query counts" `Quick test_pruned_query_counts;
         ] );
+      qsuite "ceiling-props"
+        [ prop_ceiling_structural; prop_ceiling_daggen; prop_sweeps_structural; prop_sweeps_daggen ];
       ( "decompose",
         [
           Alcotest.test_case "adjust arithmetic" `Quick test_adjust_arithmetic;

@@ -691,6 +691,44 @@ let test_remote_obs_counters_match_local () =
     (strip_run_shape local_table)
     (strip_run_shape remote_table)
 
+(* ------------------------------------------------------------------ *)
+(* S below 1: the grid, the job and every [dmc bounds] mode reject it   *)
+
+let test_engine_job_rejects_s0 () =
+  let g = Dmc_gen.Shapes.chain 5 in
+  List.iter
+    (fun engine ->
+      match Dmc_core.Engine_job.run (Dmc_core.Engine_job.make g ~s:0 ~engine) with
+      | Error (Dmc_util.Budget.Invalid_input _) -> ()
+      | Error f -> Alcotest.failf "%s: %s" engine (Dmc_util.Budget.failure_to_string f)
+      | Ok _ -> Alcotest.failf "%s accepted S = 0" engine)
+    [ "floor"; "optimal"; "mp-comm-lb" ]
+
+let test_bounds_cli_rejects_s0 () =
+  if not (Sys.file_exists dmc_exe) then
+    Alcotest.fail ("dmc binary missing: " ^ dmc_exe);
+  List.iter
+    (fun mode ->
+      let argv = (dmc_exe :: "bounds" :: mode) @ [ "-s"; "0" ] in
+      let cmd = String.concat " " (List.map Filename.quote argv) ^ " 2>&1" in
+      let ic = Unix.open_process_in cmd in
+      let out = In_channel.input_all ic in
+      let what = String.concat " " mode in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 1 -> ()
+      | Unix.WEXITED n -> Alcotest.failf "%s exited %d:\n%s" what n out
+      | _ -> Alcotest.failf "%s killed" what);
+      check_str what "dmc: bounds: S must be >= 1\n" out)
+    [
+      [ "-g"; "chain:5" ];
+      [ "-g"; "chain:5"; "--governed" ];
+      [ "-g"; "chain:5"; "--budget"; "1000" ];
+      [ "-g"; "chain:5"; "--budget"; "1000"; "--jobs"; "2" ];
+      [ "-g"; "chain:5"; "-p"; "2" ];
+      [ "--stream"; "-g"; "jacobi1d:100,2" ];
+      [ "--symbolic"; "-g"; "jacobi1d:100,2" ];
+    ]
+
 let () =
   Alcotest.run "dmc_sweep"
     [
@@ -737,6 +775,13 @@ let () =
             test_pool_postmortem_dump;
           Alcotest.test_case "all hosts poisoned" `Quick
             test_pool_all_hosts_poisoned;
+        ] );
+      ( "s-check",
+        [
+          Alcotest.test_case "engine job rejects S = 0" `Quick
+            test_engine_job_rejects_s0;
+          Alcotest.test_case "every bounds mode rejects S = 0" `Quick
+            test_bounds_cli_rejects_s0;
         ] );
       ( "determinism",
         [

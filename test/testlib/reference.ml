@@ -110,6 +110,59 @@ let box_neighbors g i =
   done;
   List.sort compare !out
 
+module Wavefront = Dmc_core.Wavefront
+module Rng = Dmc_util.Rng
+
+let wmax_exact g =
+  let wavefront = Wavefront.min_wavefront g in
+  Cdag.fold_vertices g (fun acc x -> max acc (wavefront x)) 0
+
+let wmax_sampled rng g ~samples =
+  let n = Cdag.n_vertices g in
+  if n = 0 then 0
+  else begin
+    let wavefront = Wavefront.min_wavefront g in
+    let best = ref 0 in
+    for _ = 1 to samples do
+      let x = Rng.int rng n in
+      best := max !best (wavefront x)
+    done;
+    !best
+  end
+
+let lower_bound ?(samples = 64) ?rng g ~s =
+  let wmax stripped =
+    let n = Cdag.n_vertices stripped in
+    if n = 0 then 0
+    else if n <= Wavefront.exact_threshold then wmax_exact stripped
+    else
+      let rng = match rng with Some r -> r | None -> Rng.create 0x5eed in
+      wmax_sampled rng stripped ~samples
+  in
+  let part_i, di = Subgraph.drop_inputs g in
+  let part_io, di', d_o = Subgraph.drop_io g in
+  let w_inputs = wmax part_i.graph in
+  let w_io = wmax part_io.graph in
+  max
+    (Wavefront.lemma2_bound ~wavefront:w_inputs ~s + di)
+    (Wavefront.lemma2_bound ~wavefront:w_io ~s + di' + d_o)
+
+let wavefront_sum ~pieces ~s =
+  Array.fold_left
+    (fun acc ((p : Subgraph.part), targets) ->
+      let stripped, di = Subgraph.drop_inputs p.graph in
+      let wavefront = Wavefront.min_wavefront stripped.graph in
+      let best =
+        List.fold_left
+          (fun best v ->
+            match Option.bind (p.of_parent v) stripped.of_parent with
+            | None -> best
+            | Some v' -> max best (Wavefront.lemma2_bound ~wavefront:(wavefront v') ~s))
+          0 targets
+      in
+      acc + best + di)
+    0 pieces
+
 let graph_diff a b =
   let module S = Dmc_cdag.Serialize in
   let sa = S.to_string a and sb = S.to_string b in

@@ -3,11 +3,12 @@ module Implicit := Dmc_cdag.Implicit
 module Subgraph := Dmc_cdag.Subgraph
 module Bitset := Dmc_util.Bitset
 
-(** Straightforward reference builds, kept only as test oracles for the
-    direct CSR fills of {!Subgraph.induced}, {!Implicit.window} and
-    {!Implicit.materialize}, and for {!Dmc_gen.Grid.iter_footprint}.
-    Each goes through {!Cdag.Builder} one vertex and one edge at a time,
-    with every label formatted up front. *)
+(** Straightforward reference implementations, kept only as test
+    oracles: builds for the direct CSR fills of {!Subgraph.induced},
+    {!Implicit.window} and {!Implicit.materialize}, and for
+    {!Dmc_gen.Grid.iter_footprint} — each goes through {!Cdag.Builder}
+    one vertex and one edge at a time, with every label formatted up
+    front — and the unpruned wavefront sweeps below. *)
 
 val induced : Cdag.t -> Bitset.t -> Subgraph.part
 (** The induced sub-CDAG with Theorem-2 tagging, built vertex by vertex
@@ -25,6 +26,29 @@ val star_neighbors : Dmc_gen.Grid.t -> int -> int list
 
 val box_neighbors : Dmc_gen.Grid.t -> int -> int list
 (** The Moore neighbors of a point, excluding it, ascending. *)
+
+(** {1 Full wavefront sweeps}
+
+    One min-cut query per vertex, in order, with no ceiling to prune
+    the sweep: oracles for the values of {!Dmc_core.Wavefront}'s and
+    {!Dmc_core.Decompose}'s pruned sweeps. *)
+
+val wmax_exact : Cdag.t -> int
+(** The max of [Wavefront.min_wavefront] over every vertex. *)
+
+val wmax_sampled : Dmc_util.Rng.t -> Cdag.t -> samples:int -> int
+(** The max over [samples] vertices drawn from the generator, each
+    queried as it is drawn. *)
+
+val lower_bound : ?samples:int -> ?rng:Dmc_util.Rng.t -> Cdag.t -> s:int -> int
+(** [Wavefront.lower_bound]'s formula over both Corollary-2 strips, each
+    swept by {!wmax_exact} up to [Wavefront.exact_threshold] vertices,
+    else by {!wmax_sampled}. *)
+
+val wavefront_sum :
+  pieces:(Subgraph.part * Cdag.vertex list) array -> s:int -> int
+(** [Decompose.wavefront_sum]: per piece, the inputs-stripped graph's
+    best Lemma-2 term over the mapped targets plus [|dI|], summed. *)
 
 (** {1 Comparisons} *)
 
