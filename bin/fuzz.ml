@@ -15,7 +15,10 @@
         boundaries above their sequential bounds;
      9. every cut ceiling bounds its min cut, and the pruned exact
         wavefront sweep equals the per-vertex maximum, on the graph
-        and on both Corollary-2 strips.
+        and on both Corollary-2 strips;
+    10. at every vertex of the graph and of both strips, the Menger
+        witness has exactly min-wavefront paths (none for a sink) and
+        the flow-free checker accepts it.
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -162,9 +165,24 @@ let one_case rng g ~s =
     in
     require "wmax_exact = per-vertex max" (Dmc_core.Wavefront.wmax_exact g = wmax)
   in
+  (* 10: flow values against the flow-free Menger checker; draws
+     nothing from [rng] *)
+  let witnesses g =
+    let cut = Dmc_core.Wavefront.min_wavefront g in
+    Cdag.iter_vertices g (fun x ->
+        let w = Dmc_core.Wavefront.witness g x in
+        let expected = if Cdag.out_degree g x = 0 then 0 else cut x in
+        require "witness paths = min wavefront"
+          (List.length w.Dmc_core.Wavefront.paths = expected);
+        require "witness verifies" (Dmc_core.Wavefront.verify_witness g w))
+  in
   let part_i, _ = Dmc_cdag.Subgraph.drop_inputs g in
   let part_io, _, _ = Dmc_cdag.Subgraph.drop_io g in
-  List.iter ceilings [ g; part_i.graph; part_io.graph ];
+  List.iter
+    (fun g ->
+      ceilings g;
+      witnesses g)
+    [ g; part_i.graph; part_io.graph ];
   n
 
 (* ------------------------------------------------------------------ *)

@@ -10,24 +10,22 @@ let c_mincut = Dmc_obs.Counter.make "wavefront.mincut_calls"
 let h_cut_size = Dmc_obs.Histogram.make "wavefront.cut_size"
 
 (* The terminal sets of [x]'s min-cut query, [{x} ∪ Anc(x)] and
-   [Desc(x)]; [None] when [x] has no descendants, so that its wavefront
-   is just [{x}].  A vertex without successors has none, which needs no
-   search. *)
+   [Desc(x)], for its Menger witness; [None] when [x] has no
+   descendants, so that its wavefront is just [{x}].  A vertex without
+   successors has none, which needs no search. *)
 let terminals g x =
   if Cdag.out_degree g x = 0 then None
   else
     let desc = Reach.descendants g x in
     Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
 
-(* One min-cut query on [g]'s lazily prepared split network. *)
+(* One min-cut query on [g]'s lazily prepared split network, its
+   terminal sets marked by the kernel itself. *)
 let cut_of ?budget g prepared x =
   Dmc_obs.Counter.incr c_mincut;
   let size =
-    match terminals g x with
-    | None -> 1
-    | Some (from_set, to_set) ->
-        Vertex_cut.cut_size ?budget (Lazy.force prepared) ~from_set ~to_set
-          ~uncuttable:to_set ()
+    if Cdag.out_degree g x = 0 then 1
+    else Vertex_cut.wavefront_cut ?budget (Lazy.force prepared) x
   in
   Dmc_obs.Histogram.observe h_cut_size size;
   size

@@ -16,12 +16,38 @@ module Cdag := Dmc_cdag.Cdag
     equal the min cut, and the saturated split edges on the source-side
     boundary of the residual graph name the cut vertices.
 
-    Every function here builds that network through {!prepare}: the
-    split and CDAG edges once, then per query the uncuttable split
-    capacities and the terminal edges, always in the same order.  A
-    caller with many queries on one graph keeps the {!prepared} network
-    and asks {!cut_size} repeatedly; each answer, and each budget tick
-    spent reaching it, is exactly what a fresh {!min_vertex_cut} gives. *)
+    One Dinic kernel runs every entry point here.  It stores the split
+    network of a graph as CSR slots built once from the CDAG's own rows
+    ({!prepare}): nodes [v_in = 2v], [v_out = 2v+1], source [2n], sink
+    [2n+1].  [v_in] holds a front slot, the twins of its in-edges by
+    predecessor descending, then its split edge; [v_out] a front slot,
+    its out-edges by successor descending, then its split twin; the
+    source and the sink hold the query's terminal edges in reverse list
+    order.  A front slot carries the node's terminal edge when the
+    vertex is a terminal and is skipped otherwise.  Each node's slots
+    are the edges a linked-list network lists for the same query, in
+    the same order, so every BFS dequeue, DFS edge try, [budget] tick
+    and [dinic.*] count is that network's.  A query restores the base
+    capacities with one blit and clears the front slots it used, so
+    each answer, and each tick spent reaching it, is what a fresh
+    {!min_vertex_cut} gives.
+
+    [budget] is ticked once per BFS dequeue and once per DFS edge try.
+    The kernel counts the ticks under {!Dmc_util.Budget.headroom} in a
+    local integer and charges them with {!Dmc_util.Budget.replay} at
+    the first tick past it and when the query ends, normally or by
+    exception: [Dmc_util.Budget.Exhausted] is raised, and the clock and
+    the cancellation hook are polled, at exactly the tick single ticks
+    would.
+
+    Each terminal list may name a vertex once: a repeat raises
+    [Invalid_argument], since one front slot holds one terminal
+    edge. *)
+
+val infinite : int
+(** The capacity of an uncuttable split edge and of every CDAG edge
+    ([max_int / 4]); a cut of that size or more means "no finite
+    cut". *)
 
 type result = {
   size : int;                    (** [|W|], the max-flow value *)
@@ -44,7 +70,7 @@ val min_vertex_cut :
     either is empty.  The result size is guaranteed finite when
     [to_set] vertices are uncuttable but every path from [from_set]
     contains some cuttable vertex; if not, [size] may be
-    {!Maxflow.infinite}-scaled (treat as "no finite cut"). *)
+    {!infinite}-scaled (treat as "no finite cut"). *)
 
 type prepared
 (** The split network of one CDAG, reusable across queries.  Mutable:
@@ -64,6 +90,16 @@ val cut_size :
     the cut extraction.  Same errors.  A query cut short by [budget]
     leaves nothing behind: the next query starts from the prepared
     state. *)
+
+val wavefront_cut : ?budget:Dmc_util.Budget.t -> prepared -> Cdag.vertex -> int
+(** The Lemma-2 query of [x]: [cut_size p ~from_set:(x :: Anc(x))
+    ~to_set:Desc(x) ~uncuttable:Desc(x) ()] with both sets ascending,
+    tick for tick, but with the terminal sets marked straight into the
+    kernel: two searches over the prepared slots with stamped marks,
+    then one descending scan of the marked ids fills the source (Anc(x)
+    descending, then [x]) and the sink (Desc(x) descending).  No list
+    or set is built.  Raises [Invalid_argument] when [x] is out of
+    range or has no successors (its [Desc(x)] is empty). *)
 
 val path_witness :
   ?budget:Dmc_util.Budget.t ->
@@ -87,8 +123,10 @@ val disjoint_paths :
   ?budget:Dmc_util.Budget.t -> Cdag.t -> src:Cdag.vertex -> dst:Cdag.vertex -> int
 (** Maximum number of internally vertex-disjoint directed paths from
     [src] to [dst] (endpoints excluded from the disjointness
-    requirement).  Used by the CG/GMRES wavefront arguments, which rest
-    on "disjoint paths from the predecessors to the descendants". *)
+    requirement), as a flow from [src]'s [v_out] to [dst]'s [v_in].  A
+    direct edge [src -> dst] is one such path, with no interior vertex.
+    Used by the CG/GMRES wavefront arguments, which rest on "disjoint
+    paths from the predecessors to the descendants". *)
 
 val disjoint_set_paths :
   Cdag.t -> from_set:Cdag.vertex list -> to_set:Cdag.vertex list -> int

@@ -120,35 +120,38 @@ let tick_n b k =
 (* [k] single ticks in closed form.  The i-th tick raises on the node
    limit once [nodes_left - i <= 0]; before that, every tick that lands
    [ticks] on a multiple of [clock_period] polls the clock, then the
-   cancellation hook, exactly as [tick] would. *)
+   cancellation hook, exactly as [tick] would — with the guard already
+   advanced to that tick, so the hook sees the [spent] it would. *)
 let replay b k =
   if k > 0 then begin
-    let node_stop = if b.nodes_left = max_int then k + 1 else max 1 b.nodes_left in
-    let advance j =
-      b.ticks <- b.ticks + j;
-      if b.nodes_left <> max_int then b.nodes_left <- b.nodes_left - j
+    let ticks = b.ticks and nodes_left = b.nodes_left in
+    let node_stop = if nodes_left = max_int then k + 1 else max 1 nodes_left in
+    let advance_to j =
+      b.ticks <- ticks + j;
+      if nodes_left <> max_int then b.nodes_left <- nodes_left - j
     in
     let last_poll = min k (node_stop - 1) in
     let rec poll j =
       if j <= last_poll then begin
-        if over_deadline b then begin
-          advance j;
-          raise (Exhausted Timeout)
-        end;
-        if b.cancel () then begin
-          advance j;
-          raise (Exhausted Cancelled)
-        end;
+        advance_to j;
+        if over_deadline b then raise (Exhausted Timeout);
+        if b.cancel () then raise (Exhausted Cancelled);
         poll (j + clock_period)
       end
     in
-    poll (clock_period - (b.ticks mod clock_period));
+    poll (clock_period - (ticks mod clock_period));
     if node_stop <= k then begin
-      advance node_stop;
+      advance_to node_stop;
       raise (Exhausted Budget_exhausted)
     end;
-    advance k
+    advance_to k
   end
+
+(* Ticks [i = 1 .. headroom] leave [nodes_left - i >= 1] and land
+   [ticks] short of the next multiple of [clock_period]. *)
+let headroom b =
+  let poll = clock_period - 1 - (b.ticks mod clock_period) in
+  max 0 (if b.nodes_left = max_int then poll else min poll (b.nodes_left - 1))
 
 let spent b = b.ticks
 

@@ -97,6 +97,19 @@ val replay : t -> int -> unit
     again costs its recorded ticks without running the flow.  [k <= 0]
     is a no-op. *)
 
+val headroom : t -> int
+(** [headroom b] is how many more single {!tick}s would neither raise
+    nor poll: the smaller of the node ticks left before the limit
+    ([nodes_left - 1]) and the ticks left before the next clock poll
+    (the poll distance alone without a node limit).  Never negative:
+    0 on an exhausted guard, and 0 when the very next tick polls.
+
+    A hot loop may count its ticks in a local integer while under the
+    headroom, then charge the pending ticks plus the next one with
+    {!replay}: that raises or polls exactly where single ticks would.
+    Charge whatever is still pending when the loop ends, normally or
+    by exception, with {!replay} too. *)
+
 val check : t -> failure option
 (** Non-raising probe of the same conditions (checks the clock
     unconditionally). *)

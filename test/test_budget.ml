@@ -92,22 +92,23 @@ let test_failure_strings () =
     (Budget.failure_to_string (Budget.Too_large "x"))
 
 (* [Budget.replay b k] against [k] single ticks on a twin guard: the
-   same failure or none, the same [spent], and the same number of
-   cancellation polls.  The twins differ only in how the [k] ticks are
-   charged; [prior] single ticks first (past the node limit too) put
-   the guard anywhere, exhausted included. *)
+   same failure or none, the same [spent], and the same cancellation
+   polls, each seeing the same [spent].  The twins differ only in how
+   the [k] ticks are charged; [prior] single ticks first (past the node
+   limit too) put the guard anywhere, exhausted included. *)
 let replay_matches_ticks ((nodes, prior, k), (cancel_after, expired)) =
   let run charge =
-    let polls = ref 0 in
+    let polls = ref [] and guard = ref Budget.unlimited in
     let cancel =
       Option.map
         (fun m () ->
-          incr polls;
-          !polls > m)
+          polls := Budget.spent !guard :: !polls;
+          List.length !polls > m)
         cancel_after
     in
     let deadline = if expired then Some (-1.0) else None in
     let b = Budget.create ?deadline ?nodes ?cancel () in
+    guard := b;
     for _ = 1 to prior do
       try Budget.tick b with Budget.Exhausted _ -> ()
     done;
@@ -152,6 +153,56 @@ let test_replay_boundaries () =
   | () -> Alcotest.fail "tick_n past the limit should exhaust"
   | exception Budget.Exhausted Budget.Budget_exhausted -> ());
   check "tick_n overshoots" 25 (Budget.spent b')
+
+(* [headroom b] single ticks neither raise nor poll, and the next one
+   does one or the other — on unlimited, node-limited, one-left and
+   exhausted guards, from every phase of [ticks mod 256]. *)
+let test_headroom () =
+  let polls = ref 0 in
+  let cancel () =
+    incr polls;
+    false
+  in
+  let guard ~phase nodes =
+    let b = Budget.create ?nodes ~cancel () in
+    for _ = 1 to phase do
+      try Budget.tick b with Budget.Exhausted _ -> ()
+    done;
+    b
+  in
+  for phase = 0 to 255 do
+    let limits =
+      None (* unlimited *)
+      :: Some phase (* exhausted *)
+      :: Some (phase + 1) (* one left *)
+      :: List.map
+           (fun d -> Some (phase + 1 + d))
+           [ 1; 2; 100; 254 - phase; 255 - phase; 256 - phase; 1000 ]
+    in
+    List.iter
+      (fun nodes ->
+        let b = guard ~phase nodes in
+        let h = Budget.headroom b in
+        let label = Printf.sprintf "phase %d, nodes %s" phase
+            (match nodes with None -> "unlimited" | Some k -> string_of_int k) in
+        check_bool (label ^ ": non-negative") true (h >= 0);
+        let before = !polls in
+        (match
+           for _ = 1 to h do
+             Budget.tick b
+           done
+         with
+        | () -> ()
+        | exception Budget.Exhausted _ ->
+            Alcotest.failf "%s: a tick within the headroom raised" label);
+        check (label ^ ": no poll within the headroom") before !polls;
+        let raised =
+          match Budget.tick b with () -> false | exception Budget.Exhausted _ -> true
+        in
+        check_bool (label ^ ": the next tick raises or polls") true
+          (raised || !polls > before))
+      limits
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Engines honor their budgets                                         *)
@@ -627,6 +678,7 @@ let () =
           Alcotest.test_case "guard and internal errors" `Quick test_guard_and_internal_error;
           Alcotest.test_case "failure strings" `Quick test_failure_strings;
           Alcotest.test_case "replay boundaries" `Quick test_replay_boundaries;
+          Alcotest.test_case "headroom" `Quick test_headroom;
         ] );
       qsuite "replay-props" [ prop_replay_matches_ticks ];
       ( "engines",

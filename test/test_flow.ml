@@ -1,6 +1,7 @@
-(* Tests for Dinic max-flow and the vertex-min-cut reduction. *)
+(* Tests for the vertex-min-cut kernel, checked against the linked-list
+   Dinic oracle kept in the test library. *)
 
-module Maxflow = Dmc_flow.Maxflow
+module Maxflow = Dmc_testlib.Maxflow
 module Vertex_cut = Dmc_flow.Vertex_cut
 module Bitset = Dmc_util.Bitset
 module Cdag = Dmc_cdag.Cdag
@@ -172,7 +173,14 @@ let test_vertex_cut_errors () =
   Alcotest.check_raises "intersecting sets"
     (Invalid_argument "Vertex_cut.min_vertex_cut: terminal sets intersect")
     (fun () ->
-      ignore (Vertex_cut.min_vertex_cut g ~from_set:srcs ~to_set:(dst :: srcs) ()))
+      ignore (Vertex_cut.min_vertex_cut g ~from_set:srcs ~to_set:(dst :: srcs) ()));
+  (* one front slot holds one terminal edge *)
+  Alcotest.check_raises "repeated vertex"
+    (Invalid_argument "Vertex_cut.min_vertex_cut: repeated terminal vertex") (fun () ->
+      ignore (Vertex_cut.min_vertex_cut g ~from_set:(srcs @ srcs) ~to_set:[ dst ] ()));
+  Alcotest.check_raises "wavefront of a sink"
+    (Invalid_argument "Vertex_cut.wavefront_cut: empty terminal set") (fun () ->
+      ignore (Vertex_cut.wavefront_cut (Vertex_cut.prepare g) dst))
 
 let test_path_witness () =
   let g, srcs, mids, dst = parallel_paths_graph 3 in
@@ -224,7 +232,15 @@ let test_disjoint_paths () =
     (Vertex_cut.disjoint_paths f ~src:0 ~dst:(Dmc_gen.Fft.vertex ~k:3 ~rank:3 0));
   (* a 4x4 grid has 2 internally disjoint corner-to-corner paths *)
   let d44 = Dmc_gen.Shapes.diamond ~rows:4 ~cols:4 in
-  check "grid corner paths" 2 (Vertex_cut.disjoint_paths d44 ~src:0 ~dst:15)
+  check "grid corner paths" 2 (Vertex_cut.disjoint_paths d44 ~src:0 ~dst:15);
+  (* a direct edge is one path with no interior vertex *)
+  check "adjacent chain" 1
+    (Vertex_cut.disjoint_paths (Dmc_gen.Shapes.chain 2) ~src:0 ~dst:1);
+  check "adjacent diamond" 1 (Vertex_cut.disjoint_paths d ~src:0 ~dst:1);
+  let triangle =
+    Dmc_testlib.Gen_cdag.spec_to_cdag { n = 3; edges = [ (0, 1); (0, 2); (2, 1) ] }
+  in
+  check "edge plus detour" 2 (Vertex_cut.disjoint_paths triangle ~src:0 ~dst:1)
 
 (* On random DAGs, the vertex cut between sources and sinks never
    exceeds either terminal set size (each is itself a valid cut when
@@ -252,6 +268,8 @@ let prop_cut_bounded =
 
 module Budget = Dmc_util.Budget
 module Reach = Dmc_cdag.Reach
+module Oracle = Dmc_testlib.Vertex_cut_oracle
+module Gen_cdag = Dmc_testlib.Gen_cdag
 
 (* The split network built from scratch in the reduction's documented
    edge order — the reference every prepared query must match, in flow
@@ -282,9 +300,11 @@ let wavefront_terminals g x =
   else Some (x :: Bitset.elements (Reach.ancestors g x), Bitset.elements desc)
 
 (* Every x's wavefront query on one prepared network: same size and
-   same ticks as a fresh build, and as [min_vertex_cut]. *)
+   same ticks as a fresh build, as the oracle's prepared network, and
+   as [min_vertex_cut] — through the kernel's general query and through
+   its own wavefront query. *)
 let prepared_matches_fresh g =
-  let p = Vertex_cut.prepare g in
+  let p = Vertex_cut.prepare g and o = Oracle.prepare g in
   Cdag.fold_vertices g
     (fun ok x ->
       ok
@@ -292,13 +312,23 @@ let prepared_matches_fresh g =
       match wavefront_terminals g x with
       | None -> true
       | Some (from_set, to_set) ->
-          let b_prep = Budget.create () and b_fresh = Budget.create () in
-          let size =
-            Vertex_cut.cut_size ~budget:b_prep p ~from_set ~to_set ~uncuttable:to_set ()
+          let sized f =
+            let b = Budget.create () in
+            let size = f b in
+            (size, Budget.spent b)
           in
-          size = fresh_cut_size ~budget:b_fresh g ~from_set ~to_set ~uncuttable:to_set
-          && Budget.spent b_prep = Budget.spent b_fresh
-          && size
+          let fresh =
+            sized (fun budget ->
+                fresh_cut_size ~budget g ~from_set ~to_set ~uncuttable:to_set)
+          in
+          fresh
+          = sized (fun budget ->
+                Vertex_cut.cut_size ~budget p ~from_set ~to_set ~uncuttable:to_set ())
+          && fresh = sized (fun budget -> Vertex_cut.wavefront_cut ~budget p x)
+          && fresh
+             = sized (fun budget ->
+                   Oracle.cut_size ~budget o ~from_set ~to_set ~uncuttable:to_set ())
+          && fst fresh
              = (Vertex_cut.min_vertex_cut g ~from_set ~to_set ~uncuttable:to_set ())
                  .Vertex_cut.size)
     true
@@ -318,10 +348,14 @@ let prop_prepared_daggen =
         (Dmc_gen.Random_dag.daggen rng ~n:(40 + Rng.int rng 40) ~fat:0.5 ~density:0.3
            ~ccr:1))
 
-(* A query cut short mid-flow must not leak into the next one. *)
+(* A query cut short mid-flow must not leak into the next one, whether
+   it was the general query or the wavefront query. *)
 let test_restore_after_exhaustion () =
   let g = Dmc_gen.Random_dag.daggen (Rng.create 5) ~n:60 ~fat:0.5 ~density:0.3 ~ccr:1 in
   let p = Vertex_cut.prepare g in
+  let general ~from_set ~to_set budget =
+    Vertex_cut.cut_size ~budget p ~from_set ~to_set ~uncuttable:to_set ()
+  in
   Cdag.iter_vertices g (fun x ->
       match wavefront_terminals g x with
       | None -> ()
@@ -331,17 +365,218 @@ let test_restore_after_exhaustion () =
             fresh_cut_size ~budget:b_fresh g ~from_set ~to_set ~uncuttable:to_set
           in
           let ticks = Budget.spent b_fresh in
-          (match
-             Vertex_cut.cut_size
-               ~budget:(Budget.create ~nodes:(max 1 (ticks / 2)) ())
-               p ~from_set ~to_set ~uncuttable:to_set ()
-           with
-          | _ -> if ticks > 1 then Alcotest.fail "half budget should exhaust"
-          | exception Budget.Exhausted _ -> ());
-          let b = Budget.create () in
-          check "size after abort" fresh
-            (Vertex_cut.cut_size ~budget:b p ~from_set ~to_set ~uncuttable:to_set ());
-          check "ticks after abort" ticks (Budget.spent b))
+          let queries =
+            [
+              general ~from_set ~to_set;
+              (fun budget -> Vertex_cut.wavefront_cut ~budget p x);
+            ]
+          in
+          List.iter
+            (fun cut_short ->
+              (match cut_short (Budget.create ~nodes:(max 1 (ticks / 2)) ()) with
+              | _ -> if ticks > 1 then Alcotest.fail "half budget should exhaust"
+              | exception Budget.Exhausted _ -> ());
+              List.iter
+                (fun query ->
+                  let b = Budget.create () in
+                  check "size after abort" fresh (query b);
+                  check "ticks after abort" ticks (Budget.spent b))
+                queries)
+            queries)
+
+(* ------------------------------------------------------------------ *)
+(* The kernel against the linked-list oracle                           *)
+
+let c_bfs = Dmc_obs.Counter.make "dinic.bfs_rounds"
+let c_aug = Dmc_obs.Counter.make "dinic.augmenting_paths"
+let h_path_len = Dmc_obs.Histogram.make "dinic.path_len"
+
+(* [f budget] with instrumentation on: its value or failure, the
+   budget's [spent], the cancellation polls it took, and the [dinic.*]
+   observations it made. *)
+let observed f budget polls =
+  let was = Dmc_obs.Registry.is_enabled () in
+  Dmc_obs.Registry.set_enabled true;
+  let dinic () =
+    ( Dmc_obs.Counter.value c_bfs,
+      Dmc_obs.Counter.value c_aug,
+      Dmc_obs.Histogram.count h_path_len,
+      Dmc_obs.Histogram.sum h_path_len )
+  in
+  let before = dinic () in
+  let outcome = match f budget with v -> Ok v | exception Budget.Exhausted e -> Error e in
+  let after = dinic () in
+  Dmc_obs.Registry.set_enabled was;
+  let delta (a, b, c, d) (a', b', c', d') = (a' - a, b' - b, c' - c, d' - d) in
+  (outcome, Budget.spent budget, !polls, delta before after)
+
+(* Budgets for a query of full cost [t]: none, [1], [t/2], [t-1] and
+   [t] ticks, and a cancellation hook that fires at the first or second
+   clock poll.  Each call builds a fresh guard and its poll count. *)
+let budgets t =
+  let nodes k () = (Budget.create ~nodes:(max 1 k) (), ref 0) in
+  let cancel_at m () =
+    let polls = ref 0 in
+    ( Budget.create
+        ~cancel:(fun () ->
+          incr polls;
+          !polls >= m)
+        (),
+      polls )
+  in
+  [ (fun () -> (Budget.create (), ref 0)); nodes 1; nodes (t / 2); nodes (t - 1); nodes t;
+    cancel_at 1; cancel_at 2 ]
+
+let same_under_budgets ~kernel ~oracle =
+  let full = Budget.create () in
+  ignore (oracle full);
+  List.for_all
+    (fun make ->
+      let b, polls = make () in
+      let o = observed oracle b polls in
+      let b, polls = make () in
+      o = observed kernel b polls)
+    (budgets (Budget.spent full))
+
+(* Every vertex's Lemma-2 query: the kernel's wavefront query equals
+   the oracle's prepared query in value, [spent], polls and [dinic.*]
+   deltas, completed or cut short at every budget above. *)
+let wavefront_matches_oracle g =
+  let p = Vertex_cut.prepare g and o = Oracle.prepare g in
+  Cdag.fold_vertices g
+    (fun ok x ->
+      ok
+      &&
+      match wavefront_terminals g x with
+      | None -> true
+      | Some (from_set, to_set) ->
+          same_under_budgets
+            ~kernel:(fun budget -> Vertex_cut.wavefront_cut ~budget p x)
+            ~oracle:(fun budget ->
+              Oracle.cut_size ~budget o ~from_set ~to_set ~uncuttable:to_set ()))
+    true
+
+(* A random subset of [vs] drawn with probability [pct]%, in a random
+   order: terminal lists need not be ascending. *)
+let subset rng ~pct vs =
+  List.filter (fun _ -> Rng.int rng 100 < pct) vs
+  |> List.map (fun v -> (Rng.int rng 1000, v))
+  |> List.sort compare |> List.map snd
+
+(* The other entry points on random terminal sets: equal results, and
+   for the budgeted ones equal [spent] and [dinic.*] too. *)
+let entry_points_match_oracle g seed =
+  let rng = Rng.create seed in
+  let n = Cdag.n_vertices g in
+  let all = List.init n Fun.id in
+  let from_set = subset rng ~pct:30 all in
+  let to_set = subset rng ~pct:40 (List.filter (fun v -> not (List.mem v from_set)) all) in
+  let uncuttable = subset rng ~pct:20 all in
+  let terminals_ok = from_set <> [] && to_set <> [] in
+  let cut_ok =
+    (not terminals_ok)
+    || same_under_budgets
+         ~kernel:(fun budget ->
+           let r = Vertex_cut.min_vertex_cut ~budget g ~from_set ~to_set ~uncuttable () in
+           (r.size, r.cut, Bitset.elements r.source_side))
+         ~oracle:(fun budget ->
+           let r = Oracle.min_vertex_cut ~budget g ~from_set ~to_set ~uncuttable () in
+           (r.size, r.cut, Bitset.elements r.source_side))
+       && same_under_budgets
+            ~kernel:(fun budget ->
+              Vertex_cut.path_witness ~budget g ~from_set ~to_set ~uncuttable ())
+            ~oracle:(fun budget ->
+              Oracle.path_witness ~budget g ~from_set ~to_set ~uncuttable ())
+  in
+  let pairs_ok =
+    List.for_all
+      (fun src ->
+        List.for_all
+          (fun dst ->
+            src = dst || Cdag.has_edge g src dst
+            || same_under_budgets
+                 ~kernel:(fun budget -> Vertex_cut.disjoint_paths ~budget g ~src ~dst)
+                 ~oracle:(fun budget -> Oracle.disjoint_paths ~budget g ~src ~dst))
+          all)
+      (subset rng ~pct:30 all)
+  in
+  (* the sets of [disjoint_set_paths] may share vertices *)
+  let from_set = subset rng ~pct:40 all and to_set = subset rng ~pct:40 all in
+  cut_ok && pairs_ok
+  && Vertex_cut.disjoint_set_paths g ~from_set ~to_set
+     = Oracle.disjoint_set_paths g ~from_set ~to_set
+
+(* [spec]'s graph with its ids permuted by [seed], so edges may run from
+   higher to lower ids. *)
+let relabeled (spec : Gen_cdag.spec) seed =
+  let rng = Rng.create seed in
+  let perm = Array.init spec.n Fun.id in
+  for i = spec.n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let b = Cdag.Builder.create () in
+  for _ = 1 to spec.n do
+    ignore (Cdag.Builder.add_vertex b)
+  done;
+  List.iter (fun (u, v) -> Cdag.Builder.add_edge b perm.(u) perm.(v)) spec.edges;
+  Cdag.Builder.freeze b
+
+(* Both oracle properties over one graph family: [graph] builds the
+   graph from a drawn case, [seed] picks its terminal sets. *)
+let oracle_family name ~count arb ~graph ~seed =
+  [
+    QCheck.Test.make ~name:("wavefront query = oracle, " ^ name) ~count arb (fun case ->
+        wavefront_matches_oracle (graph case));
+    QCheck.Test.make ~name:("entry points = oracle, " ^ name) ~count arb (fun case ->
+        entry_points_match_oracle (graph case) (seed case));
+  ]
+
+let oracle_props =
+  let spec_seed = QCheck.(pair (Gen_cdag.arbitrary ~max_n:12 ()) (int_bound 100_000)) in
+  oracle_family "arbitrary" ~count:100 spec_seed
+    ~graph:(fun (spec, _) -> Gen_cdag.spec_to_cdag spec)
+    ~seed:snd
+  @ oracle_family "relabeled" ~count:100 spec_seed
+      ~graph:(fun (spec, seed) -> relabeled spec seed)
+      ~seed:snd
+  @ oracle_family "layered" ~count:20 QCheck.(int_bound 100_000)
+      ~graph:(fun seed ->
+        Dmc_gen.Random_dag.layered (Rng.create seed) ~layers:5 ~width:6 ~edge_prob:0.4)
+      ~seed:Fun.id
+  @ oracle_family "daggen" ~count:6 QCheck.(int_bound 100_000)
+      ~graph:(fun seed ->
+        let rng = Rng.create seed in
+        Dmc_gen.Random_dag.daggen rng ~n:(40 + Rng.int rng 40) ~fat:0.5 ~density:0.3 ~ccr:1)
+      ~seed:Fun.id
+
+(* ------------------------------------------------------------------ *)
+(* Witness goldens                                                     *)
+
+(* resolved against the test binary, not the cwd *)
+let dmc_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+    "dmc.exe"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [dmc witness -g spec] stdout, recorded before the kernel replaced
+   the linked-list network: the same flow decomposes into the same
+   paths, in the same order. *)
+let test_witness_golden spec file () =
+  let ic = Unix.open_process_args_in dmc_exe [| dmc_exe; "witness"; "-g"; spec |] in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "dmc witness -g %s failed" spec);
+  Alcotest.(check string) spec (read_file (Filename.concat "golden" file)) out
 
 (* The anytime sampler's value and tick count under fixed budgets,
    pinned from the per-query fresh-network implementation. *)
@@ -398,5 +633,13 @@ let () =
         [
           Alcotest.test_case "restore after exhaustion" `Quick test_restore_after_exhaustion;
           Alcotest.test_case "anytime ticks pinned" `Quick test_anytime_ticks_pinned;
+        ] );
+      qsuite "oracle-props" oracle_props;
+      ( "witness",
+        [
+          Alcotest.test_case "cg:4,2,2 golden" `Quick
+            (test_witness_golden "cg:4,2,2" "witness-cg-4-2-2.txt");
+          Alcotest.test_case "thomas:32 golden" `Quick
+            (test_witness_golden "thomas:32" "witness-thomas-32.txt");
         ] );
     ]

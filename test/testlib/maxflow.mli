@@ -1,7 +1,12 @@
-(** Dinic's maximum-flow algorithm on integer-capacity networks.
+(** Dinic's maximum-flow algorithm on integer-capacity networks, over
+    linked edge lists — a test oracle.
 
-    This is the engine behind the vertex-min-cut computation used by
-    the wavefront lower bound (Section 3.3 of the paper).  Capacities
+    The library's vertex min-cuts run on the CSR slot kernel inside
+    [Dmc_flow.Vertex_cut]; this general network is what that kernel
+    replaced, kept so tests can check it flow for flow.
+    {!Vertex_cut_oracle} builds its split networks here, and the tests
+    compare the kernel against it in value, in budget ticks and in the
+    [dinic.*] counters, which both implementations bump.  Capacities
     are non-negative ints; use {!infinite} for "uncuttable" edges.
 
     A network keeps its BFS/DFS scratch across rounds and queries, and
