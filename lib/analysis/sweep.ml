@@ -51,31 +51,6 @@ let replace_all s ~sub ~by =
   Buffer.add_substring buf s !i (sl - !i);
   Buffer.contents buf
 
-(* Registry name/arity/integer validation without building the graph:
-   a grid can reference hundreds of large workloads, and [make] must
-   reject typos without paying for a single vertex. *)
-let validate_spec spec =
-  let name, params =
-    match String.index_opt spec ':' with
-    | None -> (spec, [])
-    | Some i ->
-        ( String.sub spec 0 i,
-          String.sub spec (i + 1) (String.length spec - i - 1)
-          |> String.split_on_char ',' )
-  in
-  match Workload.find name with
-  | None ->
-      Error
-        (Printf.sprintf "unknown workload %S (try: dmc gen --list)" name)
-  | Some w ->
-      if List.length params <> List.length w.Workload.params then
-        Error
-          (Printf.sprintf "%S: expected %s" spec (Workload.signature w))
-      else if
-        List.exists (fun p -> int_of_string_opt (String.trim p) = None) params
-      then Error (Printf.sprintf "%S: non-integer parameter" spec)
-      else Ok ()
-
 let expand_template ~sizes ~seeds spec =
   let with_n =
     if contains spec "{n}" then
@@ -135,12 +110,15 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
           let concrete =
             List.concat_map (expand_template ~sizes ~seeds) specs
           in
+          (* Resolve without building: a grid can reference hundreds
+             of large workloads, and [make] must reject typos without
+             paying for a single vertex. *)
           match
             List.find_map
               (fun sp ->
-                match validate_spec sp with
+                match Workload.resolve sp with
                 | Error e -> Some e
-                | Ok () -> None)
+                | Ok _ -> None)
               concrete
           with
           | Some e -> Error ("sweep: " ^ e)

@@ -431,44 +431,6 @@ let plan_fft ~tile k =
 
 (* ---- spec plumbing ---------------------------------------------- *)
 
-let parse_spec spec =
-  let name, raw =
-    match String.index_opt spec ':' with
-    | None -> (spec, [])
-    | Some i ->
-        ( String.sub spec 0 i,
-          String.split_on_char ','
-            (String.sub spec (i + 1) (String.length spec - i - 1)) )
-  in
-  let rec ints acc = function
-    | [] -> Ok (List.rev acc)
-    | a :: rest -> (
-        match int_of_string_opt a with
-        | Some v -> ints (v :: acc) rest
-        | None -> Error (Printf.sprintf "parameter '%s' is not an integer" a))
-  in
-  match ints [] raw with Ok args -> Ok (name, args) | Error _ as e -> e
-
-(* fill omitted trailing parameters from the implicit registry's
-   defaults, so e.g. "jacobi1d:1000000000" means T = 8 *)
-let resolve_args name args =
-  match Workload.find_implicit name with
-  | None -> Ok args
-  | Some w ->
-      let want = List.length w.Workload.iparams
-      and ndef = List.length w.Workload.idefaults
-      and got = List.length args in
-      if got > want || got < want - ndef then
-        Error
-          (Printf.sprintf "'%s' expects %d-%d parameters (%s)" name
-             (want - ndef) want
-             (Workload.implicit_signature w))
-      else begin
-        let missing = want - got in
-        let rec drop j l = if j = 0 then l else drop (j - 1) (List.tl l) in
-        Ok (args @ drop (ndef - missing) w.Workload.idefaults)
-      end
-
 let default_tile ~s = max 64 (2 * s)
 
 (* fft's tile is stages-per-band: the representative has (m+1) * 2^m
@@ -509,66 +471,68 @@ let plan_of ~tile ~s name args =
             analytic bound from Formulas)"
            name (String.concat ", " families))
 
+(* An implicit spec (omitted trailing parameters defaulted), resolved
+   and planned. *)
+let resolve_plan ~tile ~s spec =
+  Result.bind (Workload.resolve ~implicit:true spec)
+    (fun ({ Workload.name; _ }, args) ->
+      Result.map
+        (fun (size, plan) -> (name, args, size, plan))
+        (plan_of ~tile ~s name args))
+
 let bound ?(samples = default_samples) ?tile ~spec ~s () =
   if s < 1 then Error "S must be >= 1"
   else
-    match parse_spec spec with
+    match resolve_plan ~tile ~s spec with
     | Error e -> Error e
-    | Ok (name, args) -> (
-        match resolve_args name args with
-        | Error e -> Error e
-        | Ok args -> (
-            match plan_of ~tile ~s name args with
-            | Error e -> Error e
-            | Ok (size, plan) ->
-                Dmc_obs.Span.with_
-                  ~attrs:[ ("spec", spec); ("s", string_of_int s) ]
-                  "core.symbolic.bound"
-                @@ fun () ->
-                let classes =
-                  List.map
-                    (fun (cname, count, count_now, rep) ->
-                      {
-                        cls_name = cname;
-                        cls_count = Expr.simplify count;
-                        cls_count_now = count_now;
-                        cls_bound = engine ~samples ~s rep;
-                        cls_tile_vertices = Cdag.n_vertices rep;
-                      })
-                    plan.pl_classes
-                in
-                let value =
-                  List.fold_left
-                    (fun acc c -> acc + (c.cls_count_now * c.cls_bound))
-                    0 classes
-                in
-                let formula =
-                  Expr.simplify
-                    (List.fold_left
-                       (fun acc c ->
-                         Expr.(
-                           Add (acc, Mul (c.cls_count, Expr.int c.cls_bound))))
-                       (Expr.int 0) classes)
-                in
-                let n_vertices =
-                  match Workload.build_implicit name args with
-                  | Ok imp -> imp.Dmc_cdag.Implicit.n_vertices
-                  | Error _ -> 0
-                in
-                Ok
-                  {
-                    family = name;
-                    spec;
-                    size;
-                    s;
-                    tile = plan.pl_tile;
-                    samples;
-                    formula;
-                    value;
-                    classes;
-                    dropped = plan.pl_dropped;
-                    n_vertices;
-                  }))
+    | Ok (name, args, size, plan) ->
+        Dmc_obs.Span.with_
+          ~attrs:[ ("spec", spec); ("s", string_of_int s) ]
+          "core.symbolic.bound"
+        @@ fun () ->
+        let classes =
+          List.map
+            (fun (cname, count, count_now, rep) ->
+              {
+                cls_name = cname;
+                cls_count = Expr.simplify count;
+                cls_count_now = count_now;
+                cls_bound = engine ~samples ~s rep;
+                cls_tile_vertices = Cdag.n_vertices rep;
+              })
+            plan.pl_classes
+        in
+        let value =
+          List.fold_left
+            (fun acc c -> acc + (c.cls_count_now * c.cls_bound))
+            0 classes
+        in
+        let formula =
+          Expr.simplify
+            (List.fold_left
+               (fun acc c ->
+                 Expr.(Add (acc, Mul (c.cls_count, Expr.int c.cls_bound))))
+               (Expr.int 0) classes)
+        in
+        let n_vertices =
+          match Workload.build_implicit name args with
+          | Ok imp -> imp.Dmc_cdag.Implicit.n_vertices
+          | Error _ -> 0
+        in
+        Ok
+          {
+            family = name;
+            spec;
+            size;
+            s;
+            tile = plan.pl_tile;
+            samples;
+            formula;
+            value;
+            classes;
+            dropped = plan.pl_dropped;
+            n_vertices;
+          }
 
 (* The numeric reference: materialize the instance, cut it with the
    same partition, bound every piece with the same engine (pieces the
@@ -578,29 +542,22 @@ let bound ?(samples = default_samples) ?tile ~spec ~s () =
 let numeric_reference ?(samples = default_samples) ?tile ~spec ~s () =
   if s < 1 then Error "S must be >= 1"
   else
-    match parse_spec spec with
+    match resolve_plan ~tile ~s spec with
     | Error e -> Error e
-    | Ok (name, args) -> (
-        match resolve_args name args with
+    | Ok (name, args, _size, plan) -> (
+        match Workload.build name args with
         | Error e -> Error e
-        | Ok args -> (
-            match plan_of ~tile ~s name args with
-            | Error e -> Error e
-            | Ok (_size, plan) -> (
-                match Workload.build name args with
-                | Error e -> Error e
-                | Ok g ->
-                    let color = plan.pl_color g in
-                    let parts = Decompose.parts g ~color in
-                    let total = ref 0 in
-                    Array.iteri
-                      (fun i part ->
-                        if not (List.mem i plan.pl_zero) then
-                          total :=
-                            !total
-                            + engine ~samples ~s part.Dmc_cdag.Subgraph.graph)
-                      parts;
-                    Ok !total)))
+        | Ok g ->
+            let color = plan.pl_color g in
+            let parts = Decompose.parts g ~color in
+            let total = ref 0 in
+            Array.iteri
+              (fun i part ->
+                if not (List.mem i plan.pl_zero) then
+                  total :=
+                    !total + engine ~samples ~s part.Dmc_cdag.Subgraph.graph)
+              parts;
+            Ok !total)
 
 let to_json t =
   Json.Obj

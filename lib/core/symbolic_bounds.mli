@@ -69,8 +69,9 @@ val default_samples : int
 
 val bound :
   ?samples:int -> ?tile:int -> spec:string -> s:int -> unit -> (t, string) result
-(** Build the plan for [spec] (a workload spec; trailing parameters
-    default as in {!Dmc_gen.Workload.parse_implicit}), bound one
+(** Build the plan for [spec] (a workload spec, checked by
+    [Dmc_gen.Workload.resolve ~implicit:true], so trailing parameters
+    default as for every implicit spec), bound one
     representative per class, and recombine.  [tile] is the block
     width (stages per band for fft); the default scales with [s] and
     is capped so representatives stay small.  Cost is independent of

@@ -68,19 +68,4 @@ let blocked_order ~k ~group_bits =
 
 let butterfly k =
   if k < 0 || k > 24 then invalid_arg "Fft.butterfly: size out of range";
-  let n = 1 lsl k in
-  let b = B.create ~hint:((k + 1) * n) () in
-  for rank = 0 to k do
-    for i = 0 to n - 1 do
-      ignore (B.add_vertex ~label:(Printf.sprintf "f[r%d,%d]" rank i) b)
-    done
-  done;
-  for rank = 0 to k - 1 do
-    for i = 0 to n - 1 do
-      let dst = vertex ~k ~rank:(rank + 1) i in
-      B.add_edge b (vertex ~k ~rank i) dst;
-      B.add_edge b (vertex ~k ~rank (i lxor (1 lsl rank))) dst
-    done
-  done;
-  let rank_slice r = List.init n (fun i -> vertex ~k ~rank:r i) in
-  B.freeze ~inputs:(rank_slice 0) ~outputs:(rank_slice k) b
+  Dmc_cdag.Implicit.materialize (Implicit_gen.butterfly k)

@@ -3,7 +3,8 @@ module Cdag := Dmc_cdag.Cdag
 (** The FFT butterfly CDAG — the classic non-trivial example of the
     Hong–Kung paper and of the no-recomputation literature (Savage,
     Ranjan et al.).  Its sequential I/O complexity with fast memory [S]
-    is [Θ(n log n / log S)]. *)
+    is [Θ(n log n / log S)].  {!butterfly} is the materialized
+    {!Implicit_gen.butterfly}. *)
 
 val butterfly : int -> Cdag.t
 (** [butterfly k] is the [n = 2^k]-input FFT graph: [k] ranks of [n]

@@ -1,14 +1,13 @@
 module Implicit = Dmc_cdag.Implicit
 
-(* Every generator here mirrors its materialized counterpart exactly:
-   same vertex ids (creation order), same edges, same input/output
-   tagging, same labels.  The equivalence suite in test_implicit.ml
-   checks this at several sizes, which is what licenses swapping the
-   implicit form in wherever a materialized graph used to be.
+(* Every generator here is the one description of its family: the
+   frozen Shapes/Fft/Linalg/Stencil graphs are these, materialized, so
+   ids, edges, tags and labels cannot drift between the two forms.
+   test/golden/generators.txt pins the bytes.
 
    All generators are id-monotone (edges go low id -> high id) and all
-   iterators emit neighbors in ascending id order, matching the frozen
-   CSR rows. *)
+   iterators emit neighbors in ascending id order, as the frozen CSR
+   rows store them. *)
 
 let checked_mul what a b =
   if a > 0 && b > 0 && a > max_int / b then
@@ -30,11 +29,11 @@ let chain n =
 
 (* -- binary reduction tree --------------------------------------- *)
 
-(* Shapes.reduction_tree pairs up each level left to right; an odd
-   trailing vertex is carried to the next level unchanged.  New ids are
-   assigned level by level, so the whole id scheme is described by
-   three O(log leaves) tables: live positions, fresh vertices and the
-   first fresh id per level. *)
+(* Pairs up each level left to right; an odd trailing vertex is
+   carried to the next level unchanged.  New ids are assigned level by
+   level, so the whole id scheme is described by three O(log leaves)
+   tables: live positions, fresh vertices and the first fresh id per
+   level. *)
 let reduction_tree leaves =
   if leaves <= 0 then invalid_arg "Implicit_gen.reduction_tree";
   let rev_sizes = ref [ leaves ] in
@@ -154,7 +153,7 @@ let butterfly k =
 
 (* -- Jacobi stencils --------------------------------------------- *)
 
-let jacobi ?(shape = Stencil.Star) ~dims ~steps () =
+let jacobi ?(shape = Grid.Star) ~dims ~steps () =
   if steps < 1 then invalid_arg "Implicit_gen.jacobi: steps must be >= 1";
   List.iter
     (fun d -> if d <= 0 then invalid_arg "Implicit_gen.jacobi: non-positive dim")
@@ -185,17 +184,17 @@ let jacobi ?(shape = Stencil.Star) ~dims ~steps () =
     label = (fun v -> Printf.sprintf "u[t%d,%d]" (v / npts) (v mod npts));
   }
 
-let jacobi_1d ~n ~steps = jacobi ~shape:Stencil.Star ~dims:[ n ] ~steps ()
-let jacobi_2d ~n ~steps = jacobi ~shape:Stencil.Box ~dims:[ n; n ] ~steps ()
-let jacobi_3d ~n ~steps = jacobi ~shape:Stencil.Star ~dims:[ n; n; n ] ~steps ()
+let jacobi_1d ~n ~steps = jacobi ~shape:Grid.Star ~dims:[ n ] ~steps ()
+let jacobi_2d ~n ~steps = jacobi ~shape:Grid.Box ~dims:[ n; n ] ~steps ()
+let jacobi_3d ~n ~steps = jacobi ~shape:Grid.Star ~dims:[ n; n; n ] ~steps ()
 
 (* -- dense matrix multiply --------------------------------------- *)
 
-(* Linalg.matmul_indexed id layout: the A rows (a(i,k) = i*n + k), the
-   B rows (b(k,j) = n^2 + k*n + j), then for each (i,j) pair, in order
-   p = i*n + j, a block of 2n-1 vertices starting at 2n^2 + p*(2n-1):
-   offset 0 is m(i,j,0), offset 2k-1 is m(i,j,k) and offset 2k is the
-   accumulation c(i,j,k) for k >= 1. *)
+(* Id layout, which Linalg.mm's index maps restate: the A rows
+   (a(i,k) = i*n + k), the B rows (b(k,j) = n^2 + k*n + j), then for
+   each (i,j) pair, in order p = i*n + j, a block of 2n-1 vertices
+   starting at 2n^2 + p*(2n-1): offset 0 is m(i,j,0), offset 2k-1 is
+   m(i,j,k) and offset 2k is the accumulation c(i,j,k) for k >= 1. *)
 let matmul n =
   if n <= 0 then invalid_arg "Implicit_gen.matmul";
   if n > 1 lsl 20 then invalid_arg "Implicit_gen.matmul: size out of range";

@@ -116,48 +116,22 @@ type mm = {
 
 let matmul_indexed n =
   if n <= 0 then invalid_arg "Linalg.matmul_indexed";
-  let b = B.create ~hint:(4 * n * n * n) () in
-  let a_rows = Array.init n (fun i -> vec b (Printf.sprintf "a%d_" i) n) in
-  let b_rows = Array.init n (fun i -> vec b (Printf.sprintf "b%d_" i) n) in
-  let mults = Array.make (n * n * n) 0 and accs = Array.make (n * n * n) 0 in
-  let idx i j k = (((i * n) + j) * n) + k in
-  let outs = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let acc = ref (-1) in
-      for k = 0 to n - 1 do
-        let m = B.add_vertex ~label:(Printf.sprintf "m%d_%d_%d" i j k) b in
-        B.add_edge b a_rows.(i).(k) m;
-        B.add_edge b b_rows.(k).(j) m;
-        mults.(idx i j k) <- m;
-        if !acc < 0 then acc := m
-        else begin
-          let s = B.add_vertex ~label:(Printf.sprintf "c%d_%d_%d" i j k) b in
-          B.add_edge b !acc s;
-          B.add_edge b m s;
-          acc := s
-        end;
-        accs.(idx i j k) <- !acc
-      done;
-      outs := !acc :: !outs
-    done
-  done;
-  let inputs =
-    List.concat_map Array.to_list (Array.to_list a_rows)
-    @ List.concat_map Array.to_list (Array.to_list b_rows)
-  in
-  let graph = B.freeze ~inputs ~outputs:(List.rev !outs) b in
-  let check i j k =
+  let graph = Dmc_cdag.Implicit.materialize (Implicit_gen.matmul n) in
+  (* Implicit_gen.matmul's layout: A, then B, then one 2n-1 vertex chain
+     per (i,j) — m(i,j,0), then m(i,j,k), c(i,j,k) for each k >= 1 *)
+  let n2 = n * n in
+  let base i j k =
     if i < 0 || i >= n || j < 0 || j >= n || k < 0 || k >= n then
-      invalid_arg "Linalg.mm: index out of range"
+      invalid_arg "Linalg.mm: index out of range";
+    (2 * n2) + (((i * n) + j) * ((2 * n) - 1))
   in
   {
     mm_graph = graph;
     mm_n = n;
-    a = Array.concat (Array.to_list a_rows);
-    b = Array.concat (Array.to_list b_rows);
-    mult = (fun i j k -> check i j k; mults.(idx i j k));
-    acc = (fun i j k -> check i j k; accs.(idx i j k));
+    a = Array.init n2 Fun.id;
+    b = Array.init n2 (fun v -> n2 + v);
+    mult = (fun i j k -> base i j k + if k = 0 then 0 else (2 * k) - 1);
+    acc = (fun i j k -> base i j k + (2 * k));
   }
 
 let matmul n = (matmul_indexed n).mm_graph

@@ -1,7 +1,8 @@
 module Cdag := Dmc_cdag.Cdag
 
 (** CDAG generators for the dense linear-algebra kernels analyzed in
-    Sections 2–3 of the paper. *)
+    Sections 2–3 of the paper.  {!matmul} is the materialized
+    {!Implicit_gen.matmul}. *)
 
 val dot_product : int -> Cdag.t
 (** [dot_product n]: inputs [x_0..x_{n-1}], [y_0..y_{n-1}], one multiply
@@ -41,7 +42,9 @@ type mm = {
 
 val matmul_indexed : int -> mm
 (** Same CDAG as {!matmul}, with the index maps needed by the blocked
-    execution order. *)
+    execution order — arithmetic on {!Implicit_gen.matmul}'s id
+    layout.  The maps raise [Invalid_argument] on an index outside
+    [0 .. n-1]. *)
 
 val blocked_matmul_order : mm -> block:int -> Cdag.vertex array
 (** A topological order of the compute vertices following the

@@ -1,38 +1,14 @@
 module Cdag = Dmc_cdag.Cdag
+module Implicit = Dmc_cdag.Implicit
 module B = Cdag.Builder
 
 let chain n =
   if n <= 0 then invalid_arg "Shapes.chain";
-  let b = B.create ~hint:n () in
-  let vs = Array.init n (fun i -> B.add_vertex ~label:(Printf.sprintf "c%d" i) b) in
-  for i = 0 to n - 2 do
-    B.add_edge b vs.(i) vs.(i + 1)
-  done;
-  B.freeze ~inputs:[ vs.(0) ] ~outputs:[ vs.(n - 1) ] b
+  Implicit.materialize (Implicit_gen.chain n)
 
 let reduction_tree leaves =
   if leaves <= 0 then invalid_arg "Shapes.reduction_tree";
-  let b = B.create ~hint:(2 * leaves) () in
-  let ins =
-    Array.init leaves (fun i -> B.add_vertex ~label:(Printf.sprintf "in%d" i) b)
-  in
-  let rec reduce vs =
-    match Array.length vs with
-    | 1 -> vs.(0)
-    | n ->
-        let half = (n + 1) / 2 in
-        reduce
-          (Array.init half (fun i ->
-               if (2 * i) + 1 < n then begin
-                 let v = B.add_vertex b in
-                 B.add_edge b vs.(2 * i) v;
-                 B.add_edge b vs.((2 * i) + 1) v;
-                 v
-               end
-               else vs.(2 * i)))
-  in
-  let root = reduce ins in
-  B.freeze ~inputs:(Array.to_list ins) ~outputs:[ root ] b
+  Implicit.materialize (Implicit_gen.reduction_tree leaves)
 
 let broadcast_tree leaves =
   if leaves <= 0 then invalid_arg "Shapes.broadcast_tree";
@@ -59,20 +35,7 @@ let broadcast_tree leaves =
 
 let diamond ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Shapes.diamond";
-  let b = B.create ~hint:(rows * cols) () in
-  let id i j = (i * cols) + j in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      ignore (B.add_vertex ~label:(Printf.sprintf "d%d_%d" i j) b)
-    done
-  done;
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      if i > 0 then B.add_edge b (id (i - 1) j) (id i j);
-      if j > 0 then B.add_edge b (id i (j - 1)) (id i j)
-    done
-  done;
-  B.freeze ~inputs:[ id 0 0 ] ~outputs:[ id (rows - 1) (cols - 1) ] b
+  Implicit.materialize (Implicit_gen.diamond ~rows ~cols)
 
 let binomial k =
   if k < 0 || k > 20 then invalid_arg "Shapes.binomial";

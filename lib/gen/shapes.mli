@@ -2,7 +2,9 @@ module Cdag := Dmc_cdag.Cdag
 
 (** Small structural CDAG families used as fixtures by the tests, the
     exhaustive-optimal validation experiments, and the related-work
-    graph classes (binomial graphs, r-pyramids) mentioned in Section 6. *)
+    graph classes (binomial graphs, r-pyramids) mentioned in Section 6.
+    [chain], [reduction_tree] and [diamond] are the materialized
+    {!Implicit_gen} graphs of the same names. *)
 
 val chain : int -> Cdag.t
 (** [chain n]: a path of [n] vertices; first tagged input, last output. *)

@@ -1,5 +1,4 @@
 module Cdag = Dmc_cdag.Cdag
-module B = Cdag.Builder
 
 type shape = Grid.footprint = Star | Box
 
@@ -14,24 +13,8 @@ let jacobi ?(shape = Star) ~dims ~steps () =
   if steps < 1 then invalid_arg "Stencil.jacobi: steps must be >= 1";
   let grid = Grid.create dims in
   let npts = Grid.size grid in
-  let b = B.create ~hint:(npts * (steps + 1)) () in
-  let vertex_of = Array.make ((steps + 1) * npts) 0 in
-  let vid t i = vertex_of.((t * npts) + i) in
-  for t = 0 to steps do
-    Grid.iter grid (fun i ->
-        let v = B.add_vertex ~label:(Printf.sprintf "u[t%d,%d]" t i) b in
-        vertex_of.((t * npts) + i) <- v)
-  done;
-  for t = 0 to steps - 1 do
-    Grid.iter grid (fun i ->
-        let dst = vid (t + 1) i in
-        Grid.iter_footprint grid shape i (fun j -> B.add_edge b (vid t j) dst))
-  done;
-  let time_slice t =
-    List.init npts (fun i -> vid t i)
-  in
   let graph =
-    B.freeze ~inputs:(time_slice 0) ~outputs:(time_slice steps) b
+    Dmc_cdag.Implicit.materialize (Implicit_gen.jacobi ~shape ~dims ~steps ())
   in
   {
     graph;
@@ -41,7 +24,7 @@ let jacobi ?(shape = Star) ~dims ~steps () =
       (fun t i ->
         if t < 0 || t > steps || i < 0 || i >= npts then
           invalid_arg "Stencil.vertex: out of range";
-        vid t i);
+        (t * npts) + i);
   }
 
 let natural_order st =

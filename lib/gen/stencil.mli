@@ -2,7 +2,8 @@ module Cdag := Dmc_cdag.Cdag
 
 (** CDAG generators for iterative stencil (Jacobi-style) computations
     on d-dimensional grids — the workload of Section 5.4 and the
-    heat-equation discretization of Section 5.1. *)
+    heat-equation discretization of Section 5.1.  {!jacobi}'s graph is
+    the materialized {!Implicit_gen.jacobi}. *)
 
 type shape = Grid.footprint =
   | Star  (** von Neumann neighborhood: [2d + 1] points (5-point in 2D) *)
@@ -14,7 +15,8 @@ type t = {
   steps : int;
   vertex : int -> int -> Cdag.vertex;
       (** [vertex t i] is the vertex of grid point [i] at time [t],
-          with [t = 0] the inputs and [t = steps] the outputs. *)
+          with [t = 0] the inputs and [t = steps] the outputs: the id
+          [t * npts + i] for a grid of [npts] points. *)
 }
 
 val jacobi : ?shape:shape -> dims:int list -> steps:int -> unit -> t

@@ -124,7 +124,26 @@ let test_matmul_shape () =
   check "acc in-degree" 2 (Cdag.in_degree g a);
   check_bool "acc chain edge" true (Cdag.has_edge g (mm.Linalg.acc 1 2 0) a);
   check_bool "mult feeds acc" true (Cdag.has_edge g (mm.Linalg.mult 1 2 1) a);
-  check_bool "output is last acc" true (Cdag.is_output g (mm.Linalg.acc 1 2 (n - 1)))
+  check_bool "output is last acc" true (Cdag.is_output g (mm.Linalg.acc 1 2 (n - 1)));
+  (* the index maps land on the vertices their labels name *)
+  let label = Alcotest.(check string) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      label "a entry" (Printf.sprintf "a%d_%d" i j)
+        (Cdag.label g mm.Linalg.a.((i * n) + j));
+      label "b entry" (Printf.sprintf "b%d_%d" i j)
+        (Cdag.label g mm.Linalg.b.((i * n) + j));
+      for k = 0 to n - 1 do
+        label "mult" (Printf.sprintf "m%d_%d_%d" i j k)
+          (Cdag.label g (mm.Linalg.mult i j k));
+        if k >= 1 then
+          label "acc" (Printf.sprintf "c%d_%d_%d" i j k)
+            (Cdag.label g (mm.Linalg.acc i j k))
+      done
+    done
+  done;
+  Alcotest.check_raises "bad index" (Invalid_argument "Linalg.mm: index out of range")
+    (fun () -> ignore (mm.Linalg.mult 0 0 n))
 
 let test_blocked_matmul_order_topological () =
   let mm = Linalg.matmul_indexed 4 in
@@ -213,7 +232,13 @@ let test_jacobi_vertex_map () =
   check_bool "outputs tagged" true
     (Cdag.is_output st.Stencil.graph (st.Stencil.vertex 2 0));
   Alcotest.check_raises "bad time" (Invalid_argument "Stencil.vertex: out of range")
-    (fun () -> ignore (st.Stencil.vertex 3 0))
+    (fun () -> ignore (st.Stencil.vertex 3 0));
+  for t = 0 to 2 do
+    for i = 0 to 4 do
+      Alcotest.(check string) "vertex label" (Printf.sprintf "u[t%d,%d]" t i)
+        (Cdag.label st.Stencil.graph (st.Stencil.vertex t i))
+    done
+  done
 
 let test_stencil_orders_topological () =
   let st = Stencil.jacobi_2d ~shape:Stencil.Star ~n:5 ~steps:3 () in
@@ -515,9 +540,14 @@ let test_workload_arity () =
       Alcotest.(check bool) "states the signature" true
         (String.length msg > 0
         && msg = "generator 'jacobi1d' expects 2 parameters (jacobi1d:N,T), got 1"));
-  match Dmc_gen.Workload.parse "chain:x" with
+  (match Dmc_gen.Workload.parse "chain:x" with
   | Ok _ -> Alcotest.fail "non-integer parameter accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* a generator's own size check is an Error too: a spec is user
+     input, and a long-running caller (the daemon) must survive it *)
+  match Dmc_gen.Workload.parse "chain:0" with
+  | Ok _ -> Alcotest.fail "chain:0 accepted"
+  | Error msg -> Alcotest.(check string) "generator message" "Shapes.chain" msg
 
 let test_workload_registry () =
   let names = Dmc_gen.Workload.names in

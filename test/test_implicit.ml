@@ -1,8 +1,11 @@
-(* Implicit-vs-materialized equivalence: every ported generator must
+(* Implicit-vs-materialized equivalence: every regular generator must
    describe byte-for-byte the same CDAG as its materialized namesake —
    same vertex count, edges, degrees, tags, labels and deterministic
-   topological order — at several sizes.  This is the license for
-   swapping implicit graphs in wherever a frozen CSR used to be. *)
+   topological order — at several sizes.  The frozen namesakes are
+   materialized from the implicit form, so the equivalence cases also
+   pin both to golden/generators.txt: one line per spec,
+   "SPEC n_vertices n_edges md5(Serialize.to_string g)", recorded from
+   the loop-built generators the derived ones replaced. *)
 
 module Cdag = Dmc_cdag.Cdag
 module Implicit = Dmc_cdag.Implicit
@@ -49,50 +52,86 @@ let assert_equiv name (imp : Implicit.t) (g : Cdag.t) =
     Alcotest.failf "%s: topological orders differ" name;
   check_bool (name ^ ": id-monotone") true (Implicit.check_monotone imp)
 
+(* spec -> its golden line *)
+let golden =
+  lazy
+    (let tbl = Hashtbl.create 32 in
+     In_channel.with_open_bin (Filename.concat "golden" "generators.txt")
+       In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.iter (fun line ->
+            match String.index_opt line ' ' with
+            | Some i -> Hashtbl.replace tbl (String.sub line 0 i) line
+            | None -> ());
+     tbl)
+
+let fingerprint spec g =
+  Printf.sprintf "%s %d %d %s" spec (Cdag.n_vertices g) (Cdag.n_edges g)
+    (Digest.to_hex (Digest.string (Dmc_cdag.Serialize.to_string g)))
+
+(* [imp] and the direct call [g] agree, and both [g] and the registry's
+   build of the same spec reproduce the golden line. *)
+let check_family name args (imp : Implicit.t) (g : Cdag.t) =
+  let spec = name ^ ":" ^ String.concat "," (List.map string_of_int args) in
+  assert_equiv spec imp g;
+  let want =
+    match Hashtbl.find_opt (Lazy.force golden) spec with
+    | Some line -> line
+    | None -> Alcotest.failf "%s: no golden line" spec
+  in
+  Alcotest.(check string) (spec ^ ": direct call") want (fingerprint spec g);
+  match Workload.build name args with
+  | Ok built ->
+      Alcotest.(check string) (spec ^ ": Workload.build") want
+        (fingerprint spec built)
+  | Error e -> Alcotest.fail e
+
 let test_chain () =
   List.iter
-    (fun n -> assert_equiv (Printf.sprintf "chain:%d" n)
-        (Implicit_gen.chain n) (Shapes.chain n))
+    (fun n -> check_family "chain" [ n ] (Implicit_gen.chain n) (Shapes.chain n))
     [ 1; 7; 64 ]
 
 let test_tree () =
   List.iter
-    (fun n -> assert_equiv (Printf.sprintf "tree:%d" n)
-        (Implicit_gen.reduction_tree n) (Shapes.reduction_tree n))
+    (fun n ->
+      check_family "tree" [ n ] (Implicit_gen.reduction_tree n)
+        (Shapes.reduction_tree n))
     [ 1; 2; 5; 13; 64; 100 ]
 
 let test_diamond () =
   List.iter
-    (fun (r, c) -> assert_equiv (Printf.sprintf "diamond:%d,%d" r c)
+    (fun (r, c) ->
+      check_family "diamond" [ r; c ]
         (Implicit_gen.diamond ~rows:r ~cols:c)
         (Shapes.diamond ~rows:r ~cols:c))
     [ (1, 1); (3, 5); (8, 8); (1, 9) ]
 
 let test_fft () =
   List.iter
-    (fun k -> assert_equiv (Printf.sprintf "fft:%d" k)
-        (Implicit_gen.butterfly k) (Fft.butterfly k))
+    (fun k -> check_family "fft" [ k ] (Implicit_gen.butterfly k) (Fft.butterfly k))
     [ 0; 1; 3; 6 ]
 
 let test_matmul () =
   List.iter
-    (fun n -> assert_equiv (Printf.sprintf "matmul:%d" n)
-        (Implicit_gen.matmul n) (Linalg.matmul n))
+    (fun n -> check_family "matmul" [ n ] (Implicit_gen.matmul n) (Linalg.matmul n))
     [ 1; 2; 4; 7 ]
 
 let test_jacobi () =
   List.iter
-    (fun (n, t) -> assert_equiv (Printf.sprintf "jacobi1d:%d,%d" n t)
+    (fun (n, t) ->
+      check_family "jacobi1d" [ n; t ]
         (Implicit_gen.jacobi_1d ~n ~steps:t)
         (Stencil.jacobi_1d ~n ~steps:t).Stencil.graph)
     [ (1, 1); (9, 3); (32, 8) ];
   List.iter
-    (fun (n, t) -> assert_equiv (Printf.sprintf "jacobi2d:%d,%d" n t)
+    (fun (n, t) ->
+      check_family "jacobi2d" [ n; t ]
         (Implicit_gen.jacobi_2d ~n ~steps:t)
         (Stencil.jacobi_2d ~n ~steps:t ()).Stencil.graph)
     [ (3, 2); (6, 3) ];
   List.iter
-    (fun (n, t) -> assert_equiv (Printf.sprintf "jacobi3d:%d,%d" n t)
+    (fun (n, t) ->
+      check_family "jacobi3d" [ n; t ]
         (Implicit_gen.jacobi_3d ~n ~steps:t)
         (Stencil.jacobi_3d ~n ~steps:t).Stencil.graph)
     [ (2, 2); (4, 2) ]

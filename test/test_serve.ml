@@ -455,6 +455,15 @@ let test_server_typed_errors () =
    with
   | Protocol.Failed (Budget.Invalid_input _) -> ()
   | _ -> Alcotest.fail "bad spec should fail as invalid-input");
+  (* a generator's size check too, not just the registry's *)
+  List.iter
+    (fun spec ->
+      match
+        rpc socket (Protocol.query (Protocol.Spec spec) ~engine:"lru" ~s:4)
+      with
+      | Protocol.Failed (Budget.Invalid_input _) -> ()
+      | _ -> Alcotest.failf "%s should fail as invalid-input" spec)
+    [ "chain:0"; "fft:25" ];
   (match rpc socket (Protocol.query (Protocol.Spec "chain:6") ~engine:"nope" ~s:4) with
   | Protocol.Failed (Budget.Invalid_input _) -> ()
   | _ -> Alcotest.fail "bad engine should fail as invalid-input");

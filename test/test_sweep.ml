@@ -128,6 +128,19 @@ let test_grid_validation () =
   must_error "unknown workload" (make [ "nosuch:3" ]);
   must_error "wrong arity" (make [ "fft:3,4,5" ]);
   must_error "non-integer param" (make [ "fft:x" ]);
+  must_error "padded param" (make [ "fft: 3" ]);
+  (match make [ "nosuch:3" ] with
+  | Ok _ -> Alcotest.fail "unknown workload accepted"
+  | Error e ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length e && (String.sub e i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check_bool "lists a known generator" true (has "jacobi1d");
+      check_bool "no --list hint" false (has "--list"));
   (* a valid grid with every engine defaulted *)
   let grid = fail_result (make [ "fft:3" ]) in
   check "engines default to all governed"
