@@ -19,6 +19,8 @@
     10. at every vertex of the graph and of both strips, the Menger
         witness has exactly min-wavefront paths (none for a sink) and
         the flow-free checker accepts it.
+    11. the exact H(2S), where its search completes under a fixed node
+        budget, is at most the block count of check 5's partition.
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -128,6 +130,17 @@ let one_case rng g ~s =
   | Ok _ -> ()
   | Error m -> raise (Violation ("theorem1 partition: " ^ m)));
   require "theorem1 arithmetic" (io >= s * (h - 1));
+
+  (* 11: the exact H(2S) is never above the Theorem-1 partition's h,
+     where the search completes under its node budget; draws nothing
+     from [rng] *)
+  (match
+     Dmc_core.Spartition.min_h_exact
+       ~budget:(Dmc_util.Budget.create ~nodes:200_000 ())
+       g ~s:(2 * s)
+   with
+  | h_exact -> require "exact H(2S) <= theorem1 h" (h_exact <= h)
+  | exception (Dmc_util.Budget.Exhausted _ | Dmc_core.Optimal.Too_large _) -> ());
 
   (* 6: simulator dominance *)
   let sim =

@@ -169,23 +169,6 @@ let c_nodes = Dmc_obs.Counter.make "spartition.nodes"
 let c_masks = Dmc_obs.Counter.make "spartition.masks"
 let h_block_count = Dmc_obs.Histogram.make "spartition.block_count"
 
-(* Non-negative counts keyed by an int.  [bump t k d] adds [d] to key
-   [k] and returns the new count; keys that fall to 0 are dropped, so a
-   table holds only live entries. *)
-module Counts = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
-
-let count t k = try Counts.find t k with Not_found -> 0
-
-let bump t k d =
-  let c = count t k + d in
-  if c = 0 then Counts.remove t k else Counts.replace t k c;
-  c
-
 let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
   let vs = compute_vertices g in
   let n' = Array.length vs in
@@ -203,28 +186,39 @@ let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
     (* Validity of the current coloring (unassigned vertices carry -1),
        updated in O(deg v) per assign or unassign of a vertex v instead
        of re-checking whole colorings at the leaves:
-       - [into]: (b, u) -> successors of u in block b, so [n_in.(b)],
-         the u outside b with into(b, u) > 0, is |In(b)|;
+       - [into.(b).(u)]: successors of u in block b, so [n_in.(b)], the
+         u outside b with into.(b).(u) > 0, is |In(b)|;
        - [same.(v)]: successors of v in v's own block, so [n_out.(b)],
          the v in b that are outputs or have same.(v) < outdeg v, is
          |Out(b)|;
-       - [cross]: (a, b) -> edges from block a into block b <> a, so
-         [circuits] counts the {a, b} with cross edges both ways. *)
-    let into = Counts.create (Cdag.n_edges g) and cross = Counts.create (Cdag.n_edges g) in
+       - [cross.(a).(b)]: edges from block a into block b <> a, so
+         [circuits] counts the {a, b} with cross edges both ways.
+       The rows of block b are allocated when b first opens, so the
+       state is O((n + n') * blocks opened). *)
+    let into = Array.make n' [||] and cross = Array.make n' [||] in
     let n_in = Array.make n' 0 and n_out = Array.make n' 0 in
     let same = Array.make n 0 and circuits = ref 0 in
-    let in_out_set v = Cdag.is_output g v || same.(v) < Cdag.out_degree g v in
+    (* [cap.(v)]: outdeg v, or max_int for an output, so v is in Out of
+       its block iff same.(v) < cap.(v). *)
+    let cap =
+      Array.init n (fun v -> if Cdag.is_output g v then max_int else Cdag.out_degree g v)
+    in
+    let in_out_set v = same.(v) < cap.(v) in
     let cross_edge a b d =
-      let c = bump cross ((a * n') + b) d in
-      if (c = 0 || (c = 1 && d > 0)) && count cross ((b * n') + a) > 0 then
-        circuits := !circuits + d
+      let row = cross.(a) in
+      let c = row.(b) + d in
+      row.(b) <- c;
+      if (c = 0 || (c = 1 && d > 0)) && cross.(b).(a) > 0 then circuits := !circuits + d
     in
     let add v b =
       color.(v) <- b;
-      if count into ((b * n) + v) > 0 then n_in.(b) <- n_in.(b) - 1;
+      let into_b = into.(b) in
+      if into_b.(v) > 0 then n_in.(b) <- n_in.(b) - 1;
       Cdag.iter_pred g v (fun u ->
           let cu = color.(u) in
-          if bump into ((b * n) + u) 1 = 1 && cu <> b then n_in.(b) <- n_in.(b) + 1;
+          let k = into_b.(u) + 1 in
+          into_b.(u) <- k;
+          if k = 1 && cu <> b then n_in.(b) <- n_in.(b) + 1;
           if cu = b then begin
             let was = in_out_set u in
             same.(u) <- same.(u) + 1;
@@ -243,16 +237,19 @@ let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
       Cdag.iter_succ g v (fun w ->
           let cw = color.(w) in
           if cw >= 0 && cw <> b then cross_edge b cw (-1));
+      let into_b = into.(b) in
       Cdag.iter_pred g v (fun u ->
           let cu = color.(u) in
-          if bump into ((b * n) + u) (-1) = 0 && cu <> b then n_in.(b) <- n_in.(b) - 1;
+          let k = into_b.(u) - 1 in
+          into_b.(u) <- k;
+          if k = 0 && cu <> b then n_in.(b) <- n_in.(b) - 1;
           if cu = b then begin
             let was = in_out_set u in
             same.(u) <- same.(u) - 1;
             if in_out_set u && not was then n_out.(b) <- n_out.(b) + 1
           end
           else if cu >= 0 then cross_edge cu b (-1));
-      if count into ((b * n) + v) > 0 then n_in.(b) <- n_in.(b) + 1;
+      if into_b.(v) > 0 then n_in.(b) <- n_in.(b) + 1;
       color.(v) <- -1
     in
     let rec fits b used = b = used || (n_in.(b) <= s && n_out.(b) <= s && fits (b + 1) used) in
@@ -264,7 +261,9 @@ let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
       incr nodes;
       Dmc_obs.Counter.incr c_nodes;
       if !nodes > max_nodes then
-        raise (Optimal.Too_large "Spartition.min_h_exact: node budget exhausted");
+        raise
+          (Optimal.Too_large
+             (Printf.sprintf "Spartition.min_h_exact: more than %d search nodes" max_nodes));
       if used >= !best then ()
       else if i = n' then begin
         (* Each leaf costs a fixed 1 + n/8 ticks, charged before its
@@ -280,6 +279,10 @@ let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
       end
       else
         for c = 0 to min used (n' - 1) do
+          if Array.length into.(c) = 0 then begin
+            into.(c) <- Array.make n 0;
+            cross.(c) <- Array.make n' 0
+          end;
           add vs.(i) c;
           assign (i + 1) (max used (c + 1));
           remove vs.(i) c

@@ -47,12 +47,15 @@ val min_h_exact : ?budget:Budget.t -> ?max_nodes:int -> Cdag.t -> s:int -> int
     by exhaustive branch-and-bound over set partitions of the compute
     vertices.  Only practical for small graphs; [max_nodes] (default
     20,000,000 search nodes) guards the search and raises
-    {!Optimal.Too_large} beyond it.  The search keeps each block's
-    [|In|], [|Out|] and the two-subset circuits up to date as vertices
-    are assigned, so a complete assignment is judged in O(blocks) —
-    with the same verdict {!check} would give.  Every search node
-    ticks [budget] once and every complete assignment a fixed
-    [1 + n/8] more. *)
+    {!Optimal.Too_large} ("more than [max_nodes] search nodes") beyond
+    it.  The search keeps each block's [|In|], [|Out|] and the
+    two-subset circuits up to date as vertices are assigned, in int
+    rows of length [n] and [n'] (compute vertices) allocated as each
+    block first opens, so a complete assignment is judged in
+    O(blocks) — with the same verdict {!check} would give — and the
+    state is O((n + n') * blocks opened).  Every search node ticks
+    [budget] once and every complete assignment a fixed [1 + n/8]
+    more. *)
 
 val max_subset_exact : ?budget:Budget.t -> Cdag.t -> s:int -> int
 (** An upper bound on [U(S)] — the largest subset usable in any valid

@@ -305,11 +305,38 @@ let prop_min_h_budget_cut =
       String.starts_with ~prefix:"budget-exhausted" trace
       && trace = search_trace reference_min_h ~nodes g ~s)
 
+(* [pinned] as an Alcotest check, so a mismatch prints both traces. *)
+let check_pinned label ~nodes g ~s =
+  Alcotest.(check string)
+    (label ^ ": incremental = leaf-check search")
+    (search_trace reference_min_h ~nodes g ~s)
+    (search_trace incremental_min_h ~nodes g ~s)
+
 let test_min_h_multigrid_pinned () =
-  let g = Dmc_gen.Workload.parse_exn "multigrid:33,3,2" in
-  Alcotest.(check string) "incremental = leaf-check search"
-    (search_trace reference_min_h ~nodes:500_000 g ~s:48)
-    (search_trace incremental_min_h ~nodes:500_000 g ~s:48)
+  let spec = "multigrid:33,3,2" in
+  check_pinned spec ~nodes:500_000 (Dmc_gen.Workload.parse_exn spec) ~s:48
+
+(* The searches that exhaust their budget in the sweep-grid bench (S = 6,
+   so 2S = 12), in both vertex orders.  They open 8-9 blocks but reach
+   no valid leaf, so they pin the enumeration and its ticks; reversed
+   tree:32 at 2S = 24 completes with H = 2, so it pins a verdict at
+   this size too. *)
+let test_min_h_sweep_grid_pinned () =
+  List.iter
+    (fun spec ->
+      let g = Dmc_gen.Workload.parse_exn spec in
+      check_pinned spec ~nodes:200_000 g ~s:12;
+      check_pinned (spec ^ " reversed") ~nodes:200_000 (reversed g) ~s:12)
+    [ "tree:32"; "fft:5"; "jacobi1d:24,4" ];
+  let tree = reversed (Dmc_gen.Workload.parse_exn "tree:32") in
+  check_pinned "tree:32 reversed" ~nodes:200_000 tree ~s:24
+
+(* The [max_nodes] guard is not a node budget: it names itself. *)
+let test_min_h_node_guard () =
+  let g = Dmc_gen.Workload.parse_exn "tree:32" in
+  Alcotest.check_raises "guard named"
+    (Optimal.Too_large "Spartition.min_h_exact: more than 10 search nodes") (fun () ->
+      ignore (Spartition.min_h_exact ~max_nodes:10 g ~s:12))
 
 (* ------------------------------------------------------------------ *)
 (* Wavefronts                                                          *)
@@ -712,6 +739,9 @@ let () =
           Alcotest.test_case "min_h pinned, multigrid" `Quick test_min_h_multigrid_pinned;
           Alcotest.test_case "max subset" `Quick test_max_subset_exact;
           Alcotest.test_case "bound arithmetic" `Quick test_bound_arithmetic;
+          Alcotest.test_case "min_h pinned, sweep-grid" `Quick
+            test_min_h_sweep_grid_pinned;
+          Alcotest.test_case "min_h node guard" `Quick test_min_h_node_guard;
         ] );
       ( "wavefront",
         [
