@@ -365,7 +365,7 @@ let micro_benchmarks () =
       ( "pc-schedule-tree8",
         keep (fun () -> Dmc_core.Strategy.pc_io tree ~s:4) );
       ( "mp-comm-lb-fft32-p4",
-        keep (fun () -> Dmc_core.Mp_bounds.row fft ~p:4 ~s:6 "mp-comm-lb") );
+        keep (fun () -> Dmc_core.Bounds.row ~p:4 fft ~s:6 "mp-comm-lb") );
       ( "serve-cache-lru-churn",
         keep (fun () ->
             (* The daemon's result cache under deterministic churn: 96

@@ -189,20 +189,20 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* dmc bounds                                                         *)
 
-(* One pool job per governed engine: the ladder runs in a forked
-   worker ([Engine_job] reconstructs it from name + serialized graph),
-   and a worker lost to a crash, hard kill or protocol break degrades
-   supervisor-side to the engine's terminal rung, with the pool
-   verdict recorded as the failed "worker" rung. *)
-let bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-    ?node_budget g ~s =
+(* One pool job per engine: the ladder runs in a forked worker
+   ([Engine_job] reconstructs it from name + serialized graph), and a
+   worker lost to a crash, hard kill or protocol break degrades
+   supervisor-side to the engine's last rung, with the pool verdict
+   recorded as the failed "worker" rung. *)
+let bounds_pooled ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
+    ?node_budget ~p g ~s names =
   let module Pool = Dmc_runtime.Pool in
   let engine_jobs =
     (* one serialization, shared by every engine's job *)
-    let base = Dmc_core.Engine_job.make ?timeout ?node_budget g ~s ~engine:"" in
-    List.map
-      (fun (name, _) -> { base with Dmc_core.Engine_job.engine = name })
-      Dmc_core.Bounds.governed_engines
+    let base =
+      Dmc_core.Engine_job.make ?timeout ?node_budget ~p g ~s ~engine:""
+    in
+    List.map (fun name -> { base with Dmc_core.Engine_job.engine = name }) names
   in
   let cfg =
     {
@@ -220,60 +220,49 @@ let bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
     Pool.run cfg ~worker:(fun _ job -> Dmc_core.Engine_job.run job) engine_jobs
   in
   if progress then Dmc_runtime.Progress.clear ();
-  let rows =
-    List.mapi
-      (fun i (name, kind) ->
-        let o = outcomes.(i) in
-        let degraded failure =
-          Dmc_core.Bounds.degraded_row g ~s ~engine:name ~kind ~failure
-            ~elapsed:o.Pool.elapsed
-        in
-        match o.Pool.verdict with
-        | Pool.Done payload -> (
-            match Dmc_core.Bounds.row_of_json payload with
-            | Some row -> row
-            | None ->
-                degraded
-                  (Dmc_util.Budget.Internal "worker returned an unparseable row"))
-        | v -> degraded (Option.get (Pool.verdict_failure v)))
-      Dmc_core.Bounds.governed_engines
-  in
-  Dmc_core.Bounds.assemble_governed g ~s rows
+  List.mapi
+    (fun i name ->
+      let o = outcomes.(i) in
+      let degraded failure =
+        Dmc_core.Bounds.degraded_row ~p g ~s ~engine:name ~failure
+          ~elapsed:o.Pool.elapsed
+      in
+      match o.Pool.verdict with
+      | Pool.Done payload -> (
+          match Dmc_core.Bounds.row_of_json payload with
+          | Some row -> row
+          | None ->
+              degraded
+                (Dmc_util.Budget.Internal "worker returned an unparseable row"))
+      | v -> degraded (Option.get (Pool.verdict_failure v)))
+    names
 
-(* Engine enumeration for --list-engines: the governed (sequential)
-   family's one-liners live here; the multi-processor family carries
-   its own doc strings in the registry. *)
-let governed_engine_docs =
-  [
-    ("floor", "I/O floor: every input read + every non-input output written");
-    ("wavefront", "min-cut wavefront bound (Lemma 2), exact then sampled");
-    ("partition-h", "Lemma 1 with the exhaustive H(2S) partition count");
-    ("partition-u", "Corollary 1 with the exhaustive U(2S) vertex count");
-    ("span", "Savage S-span lower bound");
-    ("optimal", "exhaustive optimal-game search (tiny graphs, exact)");
-    ("belady", "Belady-policy schedule: a certified upper bound");
-    ("lru", "LRU-policy schedule: a certified upper bound");
-  ]
+(* Table views: the sequential engines, and the mp/pc engines that
+   [bounds -p] runs. *)
+let engine_names pred =
+  List.filter_map
+    (fun (e : Dmc_core.Bounds.engine) -> if pred e then Some e.name else None)
+    Dmc_core.Bounds.engines
+
+let is_seq (e : Dmc_core.Bounds.engine) = e.quantity = Dmc_core.Bounds.Seq
 
 let print_engine_list () =
-  let kind_str k = Dmc_core.Bounds.kind_to_string k in
-  Format.printf "governed engines (sequential red-blue-white game):@.";
   List.iter
-    (fun (name, kind) ->
-      let doc =
-        match List.assoc_opt name governed_engine_docs with
-        | Some d -> d
-        | None -> ""
-      in
-      Format.printf "  %-12s %-6s %s@." name (kind_str kind) doc)
-    Dmc_core.Bounds.governed_engines;
-  Format.printf
-    "multi-processor engines (mp/pc games; p from bounds -p, sweep -p, or \
-     a job's p field):@.";
-  List.iter
-    (fun (e : Dmc_core.Mp_bounds.info) ->
-      Format.printf "  %-12s %-6s %s@." e.name (kind_str e.kind) e.doc)
-    Dmc_core.Mp_bounds.engines
+    (fun (header, seq) ->
+      Format.printf "%s@." header;
+      List.iter
+        (fun (e : Dmc_core.Bounds.engine) ->
+          if is_seq e = seq then
+            Format.printf "  %-12s %-6s %s@." e.name
+              (Dmc_core.Bounds.kind_to_string e.kind)
+              e.doc)
+        Dmc_core.Bounds.engines)
+    [
+      ("governed engines (sequential red-blue-white game):", true);
+      ( "multi-processor engines (mp/pc games; p from bounds -p, sweep -p, \
+         or a job's p field):",
+        false );
+    ]
 
 let print_symbolic_bound (b : Dmc_core.Symbolic_bounds.t) =
   let module Sb = Dmc_core.Symbolic_bounds in
@@ -305,6 +294,9 @@ let bounds_cmd =
     end;
     (* every mode below takes S as a capacity *)
     if s < 1 then failwith "bounds: S must be >= 1";
+    (match p with
+    | Some p when p < 1 -> failwith "bounds: P must be >= 1"
+    | _ -> ());
     install_interrupt_handlers ();
     setup_obs ~trace ~profile;
     if symbolic then begin
@@ -370,80 +362,74 @@ let bounds_cmd =
     end;
     let faults = parse_faults fault in
     let g = load_cdag ~spec ~file in
-    (* A resource budget switches to the governed path: every engine
-       runs under its own guard and degrades down a fallback ladder
-       instead of failing, so the command always exits 0 with a status
-       per engine.  Tracing/profiling/progress also routes through the
-       pool: the supervised path is the instrumented one, and running
-       it even at --jobs 1 keeps the counter profile identical across
-       widths. *)
-    if p <> None then begin
-      (* The multi-processor family: one governed row per mp/pc engine
-         at (p, S), same ladder discipline as the sequential path. *)
-      let p = Option.get p in
-      let rows =
+    (* Run-control flags route every row through the pool, sequential
+       or -p alike: the supervised path is the instrumented one, and
+       running it even at --jobs 1 keeps the counter profile identical
+       across widths.  Otherwise a resource budget switches to the
+       governed path: every engine runs under its own guard and
+       degrades down a fallback ladder instead of failing, so the
+       command always exits 0 with a status per engine. *)
+    let pooled =
+      jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
+      || profile || progress
+    in
+    let rows ~p names =
+      if pooled then
+        bounds_pooled ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
+          ?node_budget ~p g ~s names
+      else
         List.map
-          (fun (e : Dmc_core.Mp_bounds.info) ->
-            Dmc_core.Mp_bounds.row ?timeout ?node_budget g ~p ~s e.name)
-          Dmc_core.Mp_bounds.engines
-      in
-      if json then
-        print_endline
-          (Dmc_util.Json.to_string
-             (Dmc_util.Json.Obj
-                [
-                  ("kind", Dmc_util.Json.String "dmc-mp-bounds");
-                  ("p", Dmc_util.Json.Int p);
-                  ("s", Dmc_util.Json.Int s);
-                  ( "rows",
-                    Dmc_util.Json.List
-                      (List.map Dmc_core.Bounds.row_to_json rows) );
-                ]))
-      else begin
-        Format.printf "multi-processor bounds at p=%d, S=%d:@." p s;
-        List.iter
-          (fun (r : Dmc_core.Bounds.row) ->
-            Format.printf "  %-12s %-6s %-8s rung=%-8s %s@." r.engine
-              (Dmc_core.Bounds.kind_to_string r.kind)
-              (match r.value with Some v -> string_of_int v | None -> "-")
-              r.rung
-              (Dmc_core.Bounds.row_status r))
-          rows
-      end;
-      emit_obs ~trace ~profile
-    end
-    else if jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
-            || profile || progress
-    then begin
-      let gr =
-        bounds_parallel ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-          ?node_budget g ~s
-      in
-      (if json then
-         print_endline
-           (Dmc_util.Json.to_string (Dmc_core.Bounds.governed_to_json gr))
-       else Format.printf "%a" Dmc_core.Bounds.pp_governed gr);
-      if !interrupted <> None then begin
-        emit_obs ~trace ~profile;
-        exit (interrupt_exit_code ())
-      end
-    end
-    else if governed || timeout <> None || node_budget <> None then begin
-      let gr =
-        Dmc_core.Bounds.analyze_governed ?timeout ?node_budget g ~s
-      in
+          (fun name -> Dmc_core.Bounds.row ?timeout ?node_budget ~p g ~s name)
+          names
+    in
+    let print_governed gr =
       if json then
         print_endline
           (Dmc_util.Json.to_string (Dmc_core.Bounds.governed_to_json gr))
       else Format.printf "%a" Dmc_core.Bounds.pp_governed gr
-    end
-    else begin
-      let report =
-        Dmc_core.Bounds.analyze ~optimal_limit:(if optimal then 20 else 0) g ~s
-      in
-      if json then
-        print_endline (Dmc_util.Json.to_string (Dmc_core.Bounds.report_to_json report))
-      else Format.printf "%a@." Dmc_core.Bounds.pp_report report
+    in
+    (match p with
+    | Some p ->
+        (* The mp/pc engines: one row each at (p, S). *)
+        let rows = rows ~p (engine_names (fun e -> not (is_seq e))) in
+        if json then
+          print_endline
+            (Dmc_util.Json.to_string
+               (Dmc_util.Json.Obj
+                  [
+                    ("kind", Dmc_util.Json.String "dmc-mp-bounds");
+                    ("p", Dmc_util.Json.Int p);
+                    ("s", Dmc_util.Json.Int s);
+                    ( "rows",
+                      Dmc_util.Json.List
+                        (List.map Dmc_core.Bounds.row_to_json rows) );
+                  ]))
+        else begin
+          Format.printf "multi-processor bounds at p=%d, S=%d:@." p s;
+          List.iter
+            (fun (r : Dmc_core.Bounds.row) ->
+              Format.printf "  %-12s %-6s %-8s rung=%-8s %s@." r.engine
+                (Dmc_core.Bounds.kind_to_string r.kind)
+                (match r.value with Some v -> string_of_int v | None -> "-")
+                r.rung
+                (Dmc_core.Bounds.row_status r))
+            rows
+        end
+    | None when pooled ->
+        print_governed
+          (Dmc_core.Bounds.assemble_governed g ~s (rows ~p:1 (engine_names is_seq)))
+    | None when governed || timeout <> None || node_budget <> None ->
+        print_governed (Dmc_core.Bounds.analyze_governed ?timeout ?node_budget g ~s)
+    | None ->
+        let report =
+          Dmc_core.Bounds.analyze ~optimal_limit:(if optimal then 20 else 0) g ~s
+        in
+        if json then
+          print_endline (Dmc_util.Json.to_string (Dmc_core.Bounds.report_to_json report))
+        else Format.printf "%a@." Dmc_core.Bounds.pp_report report);
+    if pooled && !interrupted <> None then begin
+      emit_obs ~trace ~profile;
+      exit (interrupt_exit_code ())
     end;
     if certify then
       Format.printf "wavefront certificate verifies: %b@."
@@ -1360,7 +1346,10 @@ let query_cmd =
     if !transport_failures > 0 then exit 1
   in
   let engine =
-    let names = List.map fst Dmc_core.Bounds.governed_engines in
+    (* a query carries no p *)
+    let names =
+      engine_names (fun e -> not (Dmc_core.Bounds.reads_p e.quantity))
+    in
     Arg.(value & opt string "wavefront" & info [ "engine" ] ~docv:"NAME"
            ~doc:(Printf.sprintf "Bound engine to query: one of %s."
                    (String.concat ", " names)))
@@ -1722,9 +1711,8 @@ let sweep_cmd =
            ~doc:(Printf.sprintf
                    "Comma-separated engine subset (default: all of %s; \
                     multi-processor engines: %s)."
-                   (String.concat ", "
-                      (List.map fst Dmc_core.Bounds.governed_engines))
-                   (String.concat ", " Dmc_core.Mp_bounds.engine_names)))
+                   (String.concat ", " (engine_names is_seq))
+                   (String.concat ", " (engine_names (fun e -> not (is_seq e))))))
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ]

@@ -21,6 +21,10 @@
         the flow-free checker accepts it.
     11. the exact H(2S), where its search completes under a fixed node
         budget, is at most the block count of check 5's partition.
+    12. over the mp/pc engines of the engine table, at p = 1, 2, 4:
+        each quantity's lower-bound row is at most its upper-bound
+        row, the mp lower bounds never rise with p, and at p = 1
+        mp-comm-lb is max(floor row, wavefront row).
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -196,6 +200,45 @@ let one_case rng g ~s =
       ceilings g;
       witnesses g)
     [ g; part_i.graph; part_io.graph ];
+
+  (* 12: the mp/pc rows, driven by the engine table; draws nothing
+     from [rng] *)
+  let module B = Dmc_core.Bounds in
+  let value (r : B.row) =
+    match r.value with
+    | Some v -> v
+    | None -> raise (Violation (r.engine ^ ": row without a value"))
+  in
+  let mp = List.filter (fun (e : B.engine) -> e.quantity <> B.Seq) B.engines in
+  let ps = [ 1; 2; 4 ] in
+  let rows =
+    List.map
+      (fun p ->
+        (p, List.map (fun (e : B.engine) -> (e.name, value (B.row ~p g ~s e.name))) mp))
+      ps
+  in
+  let at p name = List.assoc name (List.assoc p rows) in
+  List.iter
+    (fun (lb : B.engine) ->
+      List.iter
+        (fun (ub : B.engine) ->
+          if lb.kind = B.Lower && ub.kind = B.Upper && lb.quantity = ub.quantity then
+            List.iter
+              (fun p ->
+                require
+                  (Printf.sprintf "%s <= %s at p=%d" lb.name ub.name p)
+                  (at p lb.name <= at p ub.name))
+              ps)
+        mp;
+      if lb.kind = B.Lower && B.reads_p lb.quantity then
+        require (lb.name ^ " non-increasing in p")
+          (at 4 lb.name <= at 2 lb.name && at 2 lb.name <= at 1 lb.name))
+    mp;
+  let gov_value name =
+    value (List.find (fun (r : B.row) -> r.engine = name) gov.B.gov_rows)
+  in
+  require "mp-comm-lb at p=1 = max(floor, wavefront)"
+    (at 1 "mp-comm-lb" = max (gov_value "floor") (gov_value "wavefront"));
   n
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,6 @@
 module J = Dmc_util.Json
 module Table = Dmc_util.Table
 module Bounds = Dmc_core.Bounds
-module Mp_bounds = Dmc_core.Mp_bounds
 module Engine_job = Dmc_core.Engine_job
 module Workload = Dmc_gen.Workload
 
@@ -73,7 +72,12 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
     | Some es -> es
     | None -> List.map fst Bounds.governed_engines
   in
-  let known = List.map fst Bounds.governed_engines @ Mp_bounds.engine_names in
+  let known = List.map (fun (e : Bounds.engine) -> e.name) Bounds.engines in
+  let reads_p name =
+    match Bounds.find name with
+    | Some e -> Bounds.reads_p e.quantity
+    | None -> false
+  in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if specs = [] then err "sweep: no workload specs"
   else if ss = [] then err "sweep: no S values"
@@ -85,12 +89,12 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
     (* The same two-way check as {n}/{seed}: a p axis that no selected
        engine reads would silently multiply the grid with duplicate
        rows. *)
-    ps <> [ 1 ] && not (List.exists Mp_bounds.is_engine engines)
+    ps <> [ 1 ] && not (List.exists reads_p engines)
   then
     err
       "sweep: p values given but no selected engine is p-sensitive (pick \
        from: %s)"
-      (String.concat ", " Mp_bounds.engine_names)
+      (String.concat ", " (List.filter reads_p known))
   else
     match List.find_opt (fun e -> not (List.mem e known)) engines with
     | Some e ->
@@ -185,20 +189,12 @@ let job t row =
     base
 
 let degraded t row ~failure =
-  match graph t row.workload with
-  | Error e -> Error e
-  | Ok g ->
-      let degraded =
-        match List.assoc_opt row.engine Bounds.governed_engines with
-        | Some kind ->
-            Bounds.degraded_row g ~s:row.s ~engine:row.engine ~kind ~failure
-              ~elapsed:0.
-        | None ->
-            (* [make] validated the name, so it is a {!Mp_bounds} engine. *)
-            Mp_bounds.degraded_row g ~p:row.p ~s:row.s ~engine:row.engine
-              ~failure ~elapsed:0.
-      in
-      Ok (Bounds.row_to_json degraded)
+  Result.map
+    (fun g ->
+      Bounds.row_to_json
+        (Bounds.degraded_row ~p:row.p g ~s:row.s ~engine:row.engine ~failure
+           ~elapsed:0.))
+    (graph t row.workload)
 
 (* ------------------------------------------------------------------ *)
 (* Axis syntax                                                         *)
@@ -426,29 +422,22 @@ let doc t ~results =
       [] parsed
     |> List.rev_map (fun (key, members) -> (key, List.rev members))
   in
-  (* Engines only sandwich within their own bounded quantity: the
-     governed engines bound sequential RBW I/O at S, mp-comm-* the
-     p-processor communication volume, mp-time-* the makespan, and
-     pc-io-* the partial-computation I/O — a wavefront LB above a
-     pc-io UB (the paper's point) or an mp-comm UB (pooled memory)
-     would be a spurious failure, not a bug. *)
-  let family engine =
-    match engine with
-    | "mp-comm-lb" | "mp-comm-ub" -> "mp-comm"
-    | "mp-time-lb" | "mp-time-ub" -> "mp-time"
-    | "pc-io-lb" | "pc-io-ub" -> "pc-io"
-    | _ -> "seq"
+  (* Engines only sandwich within their own bounded quantity: a
+     wavefront LB above a pc-io UB (the paper's point) or an mp-comm
+     UB (pooled memory) would be a spurious failure, not a bug. *)
+  let quantity engine =
+    Option.map (fun (e : Bounds.engine) -> e.quantity) (Bounds.find engine)
   in
   let checks =
     List.concat_map
       (fun ((wl, s, q), members) ->
         List.filter_map
-          (fun fam ->
+          (fun qty ->
             let values pred =
               List.filter_map
                 (fun (row, b) ->
                   match b with
-                  | Some b when family row.engine = fam && pred b ->
+                  | Some b when quantity row.engine = Some qty && pred b ->
                       Option.map float_of_int b.Bounds.value
                   | _ -> None)
                 members
@@ -475,10 +464,11 @@ let doc t ~results =
                   Printf.sprintf "lb <= ub for %s s=%d%s%s" wl s
                     (if t.ps = [ 1 ] then ""
                      else Printf.sprintf " p=%d" q)
-                    (if fam = "seq" then "" else " [" ^ fam ^ "]")
+                    (if qty = Bounds.Seq then ""
+                     else " [" ^ Bounds.quantity_to_string qty ^ "]")
                 in
                 Some (Doc.check ~lb ~ub label (lb <= ub)))
-          [ "seq"; "mp-comm"; "mp-time"; "pc-io" ])
+          [ Bounds.Seq; Mp_comm; Mp_time; Pc_io ])
       groups
   in
   let n_rows = List.length t.grid_rows in

@@ -22,9 +22,7 @@ type row = {
   workload : string;  (** concrete registry spec, placeholders substituted *)
   s : int;
   p : int;  (** processor count; 1 unless a p axis was given *)
-  engine : string;
-      (** a {!Dmc_core.Bounds.governed_engines} or
-          {!Dmc_core.Mp_bounds.engines} name *)
+  engine : string;  (** a {!Dmc_core.Bounds.engines} name *)
 }
 
 type t
@@ -44,9 +42,9 @@ val make :
     engine; [ps] defaults to [[1]].  Errors: empty [specs]/[ss],
     non-positive [ss] or [ps], unknown engine names, placeholder/axis
     mismatches in either direction, a non-trivial [ps] with no
-    p-sensitive engine selected (the axis would silently duplicate
-    rows), and any concrete spec that fails registry
-    name/arity/integer checks. *)
+    selected engine whose quantity {!Dmc_core.Bounds.reads_p} (the
+    axis would silently duplicate rows), and any concrete spec that
+    fails registry name/arity/integer checks. *)
 
 val rows : t -> row list
 (** Every row, in the canonical order: template, then size, then seed,
@@ -66,8 +64,7 @@ val degraded :
 (** The coordinator-side terminal payload for a row whose worker was
     lost for job-attributed reasons (host-attributed failures are
     re-sharded by the pool instead): {!Dmc_core.Bounds.degraded_row}
-    (or {!Dmc_core.Mp_bounds.degraded_row} for the multi-processor
-    engines) with zero elapsed, serialized like a worker row.  The run never
+    with zero elapsed, serialized like a worker row.  The run never
     loses a row to a lost worker — it degrades it. *)
 
 val parse_int_list : string -> (int list, string) result
@@ -119,9 +116,9 @@ val doc : t -> results:(Dmc_util.Json.t option) list -> Doc.t
 (** The merged report: one payload per row in row order ([None] =
     the row never committed — cancelled run), rendered as a status
     table plus per-(workload, s, p) best-bound sandwich checks, one
-    per bound family present (sequential I/O, mp communication, mp
-    makespan, pc I/O — distinct quantities never sandwich each
-    other).  Only
+    per {!Dmc_core.Bounds.quantity} present (sequential I/O, mp
+    communication, mp makespan, pc I/O — distinct quantities never
+    sandwich each other).  Only
     value-deterministic fields appear (no elapsed times, no host
     names): the report is byte-identical for any [--jobs], any host
     fleet and any transient-failure schedule. *)

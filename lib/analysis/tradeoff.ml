@@ -1,7 +1,6 @@
 module J = Dmc_util.Json
 module P = Experiment.P
 module Bounds = Dmc_core.Bounds
-module Mp_bounds = Dmc_core.Mp_bounds
 module Mp_game = Dmc_core.Mp_game
 module Strategy = Dmc_core.Strategy
 module Wavefront = Dmc_core.Wavefront
@@ -35,7 +34,7 @@ type curve = {
 }
 
 let engine_value g ~p ~s engine =
-  let row = Mp_bounds.row g ~p ~s engine in
+  let row = Bounds.row ~p g ~s engine in
   match row.Bounds.value with
   | Some v -> v
   | None ->

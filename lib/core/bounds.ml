@@ -153,26 +153,42 @@ module Engine = struct
   let rb_io ?budget ?max_states g ~s =
     run ?budget (fun () -> Optimal.rb_io ?budget ?max_states g ~s)
 
-  let min_balanced_horizontal ?budget ?slack g ~procs =
-    run ?budget (fun () ->
-        Optimal.min_balanced_horizontal ?budget ?slack g ~procs)
-
-  let span_lb ?budget ?max_nodes g ~s =
-    run ?budget (fun () -> Span.lower_bound ?budget ?max_nodes g ~s)
-
   let partition_lb ?budget ?max_nodes g ~s =
     run ?budget (fun () -> Spartition.lower_bound_exact ?budget ?max_nodes g ~s)
-
-  let partition_u_lb ?budget g ~s =
-    run ?budget (fun () -> Spartition.lower_bound_u ?budget g ~s)
-
-  let strategy_io ?budget ?policy ?order g ~s =
-    run ?budget (fun () -> Strategy.io ?budget ?policy ?order g ~s)
 end
 
 type kind = Lower | Upper | Exact
 
 let kind_to_string = function Lower -> "lb" | Upper -> "ub" | Exact -> "exact"
+
+type quantity = Seq | Mp_comm | Mp_time | Pc_io
+
+let quantity_to_string = function
+  | Seq -> "seq"
+  | Mp_comm -> "mp-comm"
+  | Mp_time -> "mp-time"
+  | Pc_io -> "pc-io"
+
+let reads_p = function Mp_comm | Mp_time -> true | Seq | Pc_io -> false
+
+type ctx = {
+  g : Cdag.t;
+  p : int;
+  s : int;
+  samples : int;
+  floor : int Lazy.t;
+  wavefront : int Lazy.t;
+}
+
+(* Defined before [row], so that an unannotated [r.kind] still means a
+   row's kind. *)
+type engine = {
+  name : string;
+  kind : kind;
+  quantity : quantity;
+  doc : string;
+  ladder : ctx -> (string * (Budget.t option -> int)) list;
+}
 
 type row = {
   engine : string;
@@ -208,24 +224,6 @@ let row_status r =
       | Some _ ->
           Printf.sprintf "%s(fallback=%s)" (failure_token first) r.rung
       | None -> failure_token first)
-
-let governed_engines =
-  [
-    ("floor", Lower);
-    ("wavefront", Lower);
-    ("partition-h", Lower);
-    ("partition-u", Lower);
-    ("span", Lower);
-    ("optimal", Exact);
-    ("belady", Upper);
-    ("lru", Upper);
-  ]
-
-let governed_max_indeg g =
-  Cdag.fold_vertices g
-    (fun acc v ->
-      if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
-    0
 
 let c_ticks = Dmc_obs.Counter.make "budget.ticks"
 
@@ -300,95 +298,234 @@ let wavefront_rungs ?samples g =
     ("sampled", fun b ~s -> Wavefront.sampled_rung ?budget:b (Lazy.force l) ~s);
   ]
 
-let governed_row ?timeout ?node_budget ?(samples = 64) ?wavefront g ~s engine =
-  let floor = io_floor g in
-  let run_ladder engine kind = run_ladder ?timeout ?node_budget ~engine ~kind in
-  let floor_rung = ("floor", fun _ -> floor) in
-  let wavefront_ladder () =
-    run_ladder "wavefront" Lower
-      (List.map (fun (rung, f) -> (rung, fun b -> f b ~s)) (wavefront_rungs ~samples g)
-      @ [ floor_rung ])
-  in
-  (* The wavefront's achieved value is the middle rung of every other
-     lower-bound ladder (it is a sound lower bound for the same
-     quantity).  [analyze_governed] precomputes it once and passes it
-     in; an isolated worker computing a single row derives it on
-     demand, which is value-deterministic (fixed sampler seed) even if
-     the work is repeated. *)
-  let wavefront_value =
-    lazy
-      (match wavefront with
-      | Some v -> v
-      | None -> (
-          match (wavefront_ladder ()).value with Some v -> v | None -> floor))
-  in
-  let wf_rung = ("wavefront", fun _ -> Lazy.force wavefront_value) in
-  let lb_ladder name exact_fn =
-    run_ladder name Lower [ ("exact", exact_fn); wf_rung; floor_rung ]
-  in
-  (* The trivial schedule only exists when every vertex's operands fit
-     beside it, so the upper-bound ladder's last rung still has a
-     precondition. *)
-  let max_indeg = governed_max_indeg g in
-  let trivial_rung =
-    ( "trivial",
-      fun _ ->
-        if s >= max_indeg + 1 then Strategy.trivial_io g
-        else failwith "Bounds: S too small for the trivial schedule" )
-  in
-  match engine with
-  | "floor" -> run_ladder "floor" Lower [ ("exact", fun _ -> floor) ]
-  | "wavefront" -> wavefront_ladder ()
-  | "partition-h" ->
-      lb_ladder "partition-h" (fun b -> Spartition.lower_bound_exact ?budget:b g ~s)
-  | "partition-u" ->
-      lb_ladder "partition-u" (fun b -> Spartition.lower_bound_u ?budget:b g ~s)
-  | "span" -> lb_ladder "span" (fun b -> Span.lower_bound ?budget:b g ~s)
-  | "optimal" ->
-      run_ladder "optimal" Exact
-        [ ("exact", fun b -> Optimal.rbw_io ?budget:b g ~s); wf_rung; floor_rung ]
-  | "belady" ->
-      run_ladder "belady" Upper
-        [
-          ("exact", fun b -> Strategy.io ?budget:b ~policy:Strategy.Belady g ~s);
-          trivial_rung;
-        ]
-  | "lru" ->
-      run_ladder "lru" Upper
-        [
-          ("exact", fun b -> Strategy.io ?budget:b ~policy:Strategy.Lru g ~s);
-          trivial_rung;
-        ]
-  | other -> invalid_arg ("Bounds.governed_row: unknown engine " ^ other)
+(* ------------------------------------------------------------------ *)
+(* The engine table: every engine's name, kind, quantity, doc line and *)
+(* fallback ladder.                                                    *)
 
-let degraded_row g ~s ~engine ~kind ~failure ~elapsed =
-  let attempts = [ ("worker", failure) ] in
-  match kind with
-  | Lower | Exact ->
-      {
-        engine;
-        kind;
-        value = Some (io_floor g);
-        rung = "floor";
-        attempts;
-        elapsed;
-      }
-  | Upper ->
-      if s >= governed_max_indeg g + 1 then
-        {
-          engine;
-          kind;
-          value = Some (Strategy.trivial_io g);
-          rung = "trivial";
-          attempts;
-          elapsed;
-        }
-      else { engine; kind; value = None; rung = "-"; attempts; elapsed }
+let floor_rung c = ("floor", fun _ -> Lazy.force c.floor)
+
+let wavefront_ladder c =
+  List.map
+    (fun (rung, f) -> (rung, fun b -> f b ~s:c.s))
+    (wavefront_rungs ~samples:c.samples c.g)
+  @ [ floor_rung c ]
+
+(* The wavefront's achieved value is the middle rung of every other
+   sequential lower-bound ladder: a sound lower bound for the same
+   quantity. *)
+let lb_ladder exact c =
+  [ ("exact", exact c); ("wavefront", fun _ -> Lazy.force c.wavefront); floor_rung c ]
+
+let max_in_degree g =
+  Cdag.fold_vertices g
+    (fun acc v ->
+      if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
+    0
+
+(* A trivial schedule only exists when its vertex fits in fast memory
+   beside its operands, so an upper-bound ladder's last rung still has
+   a precondition. *)
+let trivial_rung ~fits ~msg f =
+  ("trivial", fun _ -> if fits () then f () else failwith msg)
+
+let operands_fit c () = c.s >= max_in_degree c.g + 1
+
+let ub_ladder policy c =
+  [
+    ("exact", fun b -> Strategy.io ?budget:b ~policy c.g ~s:c.s);
+    trivial_rung ~fits:(operands_fit c)
+      ~msg:"Bounds: S too small for the trivial schedule" (fun () ->
+        Strategy.trivial_io c.g);
+  ]
+
+(* IO_mp(p, S) >= IO_1(p * S): the pooled-memory simulation, over the
+   sequential wavefront ladder's shared rungs. *)
+let comm_lb_rungs c =
+  List.map
+    (fun (rung, seq_lb) ->
+      ( rung,
+        fun b ->
+          Parallel_bounds.mp_comm_from_sequential ~p:c.p ~seq_lb:(seq_lb b)
+            ~s:c.s
+          |> max (Lazy.force c.floor) ))
+    (wavefront_rungs ~samples:c.samples c.g)
+
+let g_cost = 1
+
+let time_lb c ~comm_lb =
+  Parallel_bounds.mp_time_lower ~p:c.p ~g_cost ~work:(Cdag.n_compute c.g)
+    ~span:(Parallel_bounds.span c.g) ~comm_lb
+
+let replay_makespan c moves =
+  match Mp_game.run ~g_cost c.g ~p:c.p ~s:c.s moves with
+  | Ok stats -> stats.Mp_game.makespan
+  | Error e ->
+      Budget.internal_error ~where:"Mp_bounds"
+        "schedule rejected at step %d: %s" e.Mp_game.step e.Mp_game.reason
+
+(* The mp/pc failure texts keep the prefix their rows have always
+   carried. *)
+let mp_trivial_msg = "Mp_bounds: S too small for the trivial schedule"
+
+let engines =
+  [
+    { name = "floor"; kind = Lower; quantity = Seq;
+      doc = "I/O floor: every input read + every non-input output written";
+      ladder = (fun c -> [ ("exact", fun _ -> Lazy.force c.floor) ]) };
+    { name = "wavefront"; kind = Lower; quantity = Seq;
+      doc = "min-cut wavefront bound (Lemma 2), exact then sampled";
+      ladder = wavefront_ladder };
+    { name = "partition-h"; kind = Lower; quantity = Seq;
+      doc = "Lemma 1 with the exhaustive H(2S) partition count";
+      ladder = lb_ladder (fun c b -> Spartition.lower_bound_exact ?budget:b c.g ~s:c.s) };
+    { name = "partition-u"; kind = Lower; quantity = Seq;
+      doc = "Corollary 1 with the exhaustive U(2S) vertex count";
+      ladder = lb_ladder (fun c b -> Spartition.lower_bound_u ?budget:b c.g ~s:c.s) };
+    { name = "span"; kind = Lower; quantity = Seq;
+      doc = "Savage S-span lower bound";
+      ladder = lb_ladder (fun c b -> Span.lower_bound ?budget:b c.g ~s:c.s) };
+    { name = "optimal"; kind = Exact; quantity = Seq;
+      doc = "exhaustive optimal-game search (tiny graphs, exact)";
+      ladder = lb_ladder (fun c b -> Optimal.rbw_io ?budget:b c.g ~s:c.s) };
+    { name = "belady"; kind = Upper; quantity = Seq;
+      doc = "Belady-policy schedule: a certified upper bound";
+      ladder = ub_ladder Strategy.Belady };
+    { name = "lru"; kind = Upper; quantity = Seq;
+      doc = "LRU-policy schedule: a certified upper bound";
+      ladder = ub_ladder Strategy.Lru };
+    { name = "mp-comm-lb"; kind = Lower; quantity = Mp_comm;
+      doc =
+        "communication LB: sequential wavefront bound at capacity p*S \
+         (one processor with the pooled fast memory simulates the game)";
+      ladder = (fun c -> comm_lb_rungs c @ [ floor_rung c ]) };
+    { name = "mp-comm-ub"; kind = Upper; quantity = Mp_comm;
+      doc =
+        "communication UB: I/O of a valid p-processor Belady schedule \
+         (cross-processor values travel store -> load through slow memory)";
+      ladder =
+        (fun c ->
+          [
+            ( "belady",
+              fun b ->
+                Strategy.mp_io ?budget:b ~policy:Strategy.Belady c.g ~p:c.p ~s:c.s );
+            trivial_rung ~fits:(operands_fit c) ~msg:mp_trivial_msg (fun () ->
+                Strategy.mp_trivial_io c.g);
+          ]) };
+    { name = "mp-time-lb"; kind = Lower; quantity = Mp_time;
+      doc =
+        "makespan LB: max of the critical path and the busiest \
+         processor's ceil-share of compute + g*comm work";
+      ladder =
+        (fun c ->
+          List.map
+            (fun (rung, comm_lb) -> (rung, fun b -> time_lb c ~comm_lb:(comm_lb b)))
+            (comm_lb_rungs c)
+          @ [ ("floor", fun _ -> time_lb c ~comm_lb:(Lazy.force c.floor)) ]) };
+    { name = "mp-time-ub"; kind = Upper; quantity = Mp_time;
+      doc =
+        "makespan UB: list-scheduling makespan of the replayed \
+         p-processor Belady schedule (compute = 1, I/O = g)";
+      ladder =
+        (fun c ->
+          [
+            ( "belady",
+              fun b ->
+                replay_makespan c
+                  (Strategy.mp_schedule ?budget:b ~policy:Strategy.Belady c.g
+                     ~p:c.p ~s:c.s) );
+            trivial_rung ~fits:(operands_fit c) ~msg:mp_trivial_msg (fun () ->
+                replay_makespan c (Strategy.mp_trivial c.g ~p:c.p));
+          ]) };
+    { name = "pc-io-lb"; kind = Lower; quantity = Pc_io;
+      doc =
+        "partial-computation I/O LB: the I/O floor (inputs read + \
+         outputs written; S-partition arguments do not survive partial \
+         recomputation)";
+      ladder = (fun c -> [ floor_rung c ]) };
+    { name = "pc-io-ub"; kind = Upper; quantity = Pc_io;
+      doc =
+        "partial-computation I/O UB: I/O of a valid Begin/Absorb/Finish \
+         Belady schedule (two red pebbles cover any in-degree)";
+      ladder =
+        (fun c ->
+          [
+            ( "belady",
+              fun b -> Strategy.pc_io ?budget:b ~policy:Strategy.Belady c.g ~s:c.s );
+            (* Begin/Absorb/Finish needs two red pebbles at any in-degree *)
+            trivial_rung ~fits:(fun () -> c.s >= 2)
+              ~msg:"Mp_bounds: S too small for the pc schedule" (fun () ->
+                Strategy.trivial_io c.g);
+          ]) };
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) engines
+
+let governed_engines =
+  List.filter_map
+    (fun e -> if e.quantity = Seq then Some (e.name, e.kind) else None)
+    engines
+
+let find_exn name =
+  match find name with
+  | Some e -> e
+  | None -> invalid_arg ("Bounds: unknown engine " ^ name)
+
+(* When no caller passed the wavefront row's value in, a row derives it
+   on demand by running the wavefront ladder; that is
+   value-deterministic (fixed sampler seed) even if the work is
+   repeated. *)
+let context ?timeout ?node_budget ?wavefront ~samples ~p g ~s =
+  let rec c =
+    {
+      g;
+      p;
+      s;
+      samples;
+      floor = lazy (io_floor g);
+      wavefront =
+        lazy
+          (match wavefront with
+          | Some v -> v
+          | None -> (
+              match
+                (run_ladder ?timeout ?node_budget ~engine:"wavefront"
+                   ~kind:Lower (wavefront_ladder c))
+                  .value
+              with
+              | Some v -> v
+              | None -> Lazy.force c.floor));
+    }
+  in
+  c
+
+let row ?timeout ?node_budget ?(samples = 64) ?wavefront ?(p = 1) g ~s name =
+  let e = find_exn name in
+  if p < 1 then invalid_arg "Bounds.row: p must be positive";
+  if s < 1 then invalid_arg "Bounds.row: s must be positive";
+  run_ladder ?timeout ?node_budget ~engine:name ~kind:e.kind
+    (e.ladder (context ?timeout ?node_budget ?wavefront ~samples ~p g ~s))
+
+(* The last rung of every ladder is its O(n) terminal rung: the floor
+   of a lower-bound ladder, the trivial schedule of an upper-bound
+   one. *)
+let degraded_row ?(p = 1) g ~s ~engine ~failure ~elapsed =
+  let e = find_exn engine in
+  let _, last =
+    List.hd (List.rev (e.ladder (context ~samples:64 ~p g ~s)))
+  in
+  let value = Result.to_option (Engine.run (fun () -> last None)) in
+  let rung =
+    match (value, e.kind) with
+    | None, _ -> "-"
+    | Some _, Upper -> "trivial"
+    | Some _, (Lower | Exact) -> "floor"
+  in
+  { engine; kind = e.kind; value; rung; attempts = [ ("worker", failure) ]; elapsed }
 
 let assemble_governed g ~s rows =
   let best_lb =
     List.fold_left
-      (fun acc r ->
+      (fun acc (r : row) ->
         match (r.kind, r.value) with
         | (Lower | Exact), Some v -> max acc v
         | _ -> acc)
@@ -396,7 +533,7 @@ let assemble_governed g ~s rows =
   in
   let best_ub =
     List.fold_left
-      (fun acc r ->
+      (fun acc (r : row) ->
         let candidate =
           match (r.kind, r.value) with
           | Upper, Some v -> Some v
@@ -425,7 +562,7 @@ let analyze_governed ?timeout ?node_budget ?(samples = 64) g ~s =
   @@ fun () ->
   (* The wavefront row runs first; its achieved value is reused as the
      middle rung of every other lower-bound ladder. *)
-  let wavefront_row = governed_row ?timeout ?node_budget ~samples g ~s "wavefront" in
+  let wavefront_row = row ?timeout ?node_budget ~samples g ~s "wavefront" in
   let wavefront_value =
     match wavefront_row.value with Some v -> v | None -> io_floor g
   in
@@ -434,8 +571,8 @@ let analyze_governed ?timeout ?node_budget ?(samples = 64) g ~s =
       (fun (name, _) ->
         if name = "wavefront" then wavefront_row
         else
-          governed_row ?timeout ?node_budget ~samples ~wavefront:wavefront_value
-            g ~s name)
+          row ?timeout ?node_budget ~samples ~wavefront:wavefront_value g ~s
+            name)
       governed_engines
   in
   assemble_governed g ~s rows

@@ -84,24 +84,9 @@ module Engine : sig
     ?budget:Dmc_util.Budget.t -> ?max_states:int -> Cdag.t -> s:int ->
     int outcome
 
-  val min_balanced_horizontal :
-    ?budget:Dmc_util.Budget.t -> ?slack:int -> Cdag.t -> procs:int ->
-    (int * int array) outcome
-
-  val span_lb :
-    ?budget:Dmc_util.Budget.t -> ?max_nodes:int -> Cdag.t -> s:int ->
-    int outcome
-
   val partition_lb :
     ?budget:Dmc_util.Budget.t -> ?max_nodes:int -> Cdag.t -> s:int ->
     int outcome
-
-  val partition_u_lb :
-    ?budget:Dmc_util.Budget.t -> Cdag.t -> s:int -> int outcome
-
-  val strategy_io :
-    ?budget:Dmc_util.Budget.t -> ?policy:Strategy.policy ->
-    ?order:Cdag.vertex array -> Cdag.t -> s:int -> int outcome
 end
 
 type kind = Lower | Upper | Exact
@@ -109,6 +94,37 @@ type kind = Lower | Upper | Exact
     (achievable) upper bound, or the exhaustive optimum.  An [Exact]
     row that fell back down its ladder carries a lower bound instead —
     its [rung] says so. *)
+
+type quantity =
+  | Seq  (** sequential RBW I/O at capacity S *)
+  | Mp_comm  (** p-processor communication volume *)
+  | Mp_time  (** p-processor makespan *)
+  | Pc_io  (** partial-computation I/O *)
+(** What an engine's rows bound.  Rows only sandwich rows of the same
+    quantity. *)
+
+val quantity_to_string : quantity -> string
+(** ["seq"], ["mp-comm"], ["mp-time"], ["pc-io"]. *)
+
+val reads_p : quantity -> bool
+(** Only the [Mp_comm] and [Mp_time] engines read the processor count;
+    every other row is the same at any p. *)
+
+type ctx
+(** What a ladder reads: the graph, p, S, the sample count, and the
+    I/O floor and wavefront value, each computed on first use. *)
+
+type engine = {
+  name : string;
+  kind : kind;
+  quantity : quantity;
+  doc : string;  (** one line, shown by [dmc bounds --list-engines] *)
+  ladder : ctx -> (string * (Dmc_util.Budget.t option -> int)) list;
+      (** the named rungs, first choice first; the last is the O(n)
+          terminal rung (the floor, or the trivial schedule) *)
+}
+(** One entry of {!engines}.  Declared before {!row}, so an
+    unannotated [r.kind] still means a row's kind. *)
 
 type row = {
   engine : string;  (** ["wavefront"], ["partition-h"], ["belady"], ... *)
@@ -155,30 +171,28 @@ val analyze_governed :
     upper bounds fall back to the trivial schedule.  Never raises on
     resource exhaustion — every failure is recorded in the row. *)
 
-(** {2 Per-engine rows}
+(** {2 The engine table}
 
-    The worker pool ({!Dmc_runtime.Pool}) runs each governed engine in
-    its own child process, so the ladder of a single engine must be
-    computable in isolation and its row must cross a process boundary
-    as JSON. *)
+    Every engine — the eight sequential red-blue-white engines and the
+    six engines of the multi-processor and partial-computation games
+    (arXiv 2409.03898, 2506.10854) — is one entry of {!engines}: its
+    name, kind, the quantity it bounds, its [--list-engines] line and
+    its fallback ladder.  {!row} runs any entry at [(p, S)],
+    and the worker pool ({!Dmc_runtime.Pool}) runs each in its own
+    child process, so a single engine's ladder is computable in
+    isolation and its row crosses a process boundary as JSON. *)
+
+val engines : engine list
+(** In presentation order: ["floor"], ["wavefront"], ["partition-h"],
+    ["partition-u"], ["span"], ["optimal"], ["belady"], ["lru"], then
+    ["mp-comm-lb"], ["mp-comm-ub"], ["mp-time-lb"], ["mp-time-ub"],
+    ["pc-io-lb"], ["pc-io-ub"]. *)
+
+val find : string -> engine option
 
 val governed_engines : (string * kind) list
-(** Every engine {!analyze_governed} runs, in output order:
-    ["floor"], ["wavefront"], ["partition-h"], ["partition-u"],
-    ["span"], ["optimal"], ["belady"], ["lru"]. *)
-
-val run_ladder :
-  ?timeout:float -> ?node_budget:int -> engine:string -> kind:kind ->
-  (string * (Dmc_util.Budget.t option -> int)) list -> row
-(** The ladder runner behind {!governed_row} and [Mp_bounds.row]: try
-    the named rungs in order and return the first value.  Every rung
-    runs under its own fresh budget ([timeout] seconds and/or
-    [node_budget] ticks; none when both are omitted), except the
-    terminal rungs named ["floor"] and ["trivial"] and every rung of
-    the ["floor"] engine, which run unbudgeted.  Each rung runs in an
-    [engine/rung] span noting its [outcome] and, when budgeted, its
-    [ticks], which are also added to the [budget.ticks] counter.  A row
-    whose rungs all fail has no value. *)
+(** The [Seq] entries of {!engines} — every engine {!analyze_governed}
+    runs, in output order. *)
 
 val wavefront_rungs :
   ?samples:int -> Cdag.t ->
@@ -188,24 +202,29 @@ val wavefront_rungs :
     {!Wavefront.ladder} built on first use: the sampled rung replays
     the exact rung's completed min-cuts instead of re-running them. *)
 
-val governed_row :
+val row :
   ?timeout:float -> ?node_budget:int -> ?samples:int -> ?wavefront:int ->
-  Cdag.t -> s:int -> string -> row
-(** One engine's full fallback ladder.  [wavefront] is the
+  ?p:int -> Cdag.t -> s:int -> string -> row
+(** One engine's full fallback ladder at [(p, s)]; [p] defaults to 1,
+    and only engines whose quantity {!reads_p} read it.  [samples]
+    (default 64) sizes the sampled wavefront rungs.  [wavefront] is the
     already-computed wavefront bound used as the middle rung of the
-    other lower-bound ladders; when omitted it is derived on demand
-    (value-deterministic: the sampler seed is fixed).  Raises
-    [Invalid_argument] on an engine name not in {!governed_engines}. *)
+    other sequential lower-bound ladders; when omitted it is derived on
+    demand (value-deterministic: the sampler seed is fixed).  Raises
+    [Invalid_argument] on an engine name not in {!engines}, or on [p]
+    or [s] below 1. *)
 
 val degraded_row :
-  Cdag.t -> s:int -> engine:string -> kind:kind -> failure:failure ->
+  ?p:int -> Cdag.t -> s:int -> engine:string -> failure:failure ->
   elapsed:float -> row
-(** The supervisor-side terminal rung for an engine whose whole worker
-    was lost (crashed, hard-killed, or protocol-broken): lower/exact
-    engines degrade to the O(n) I/O floor, upper engines to the
-    trivial schedule when [s] admits one.  [failure] is recorded as a
-    failed ["worker"] rung so the status column shows what forced the
-    fallback. *)
+(** The supervisor-side row for an engine whose whole worker was lost
+    (crashed, hard-killed, or protocol-broken): the engine's last rung,
+    run without a budget.  Its rung reads ["floor"] for lower-bound and
+    exact engines and ["trivial"] for upper-bound ones; if the last
+    rung fails too (an upper bound at an [s] no trivial schedule fits),
+    the row has no value and rung ["-"].  [failure] is recorded as the
+    one failed ["worker"] rung so the status column shows what forced
+    the fallback. *)
 
 val assemble_governed : Cdag.t -> s:int -> row list -> governed
 (** Recompute the best-bound summary from independently produced rows

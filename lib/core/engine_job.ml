@@ -56,8 +56,7 @@ let of_json json =
   | _ -> Error "not a dmc-engine-job object"
 
 let run job =
-  let governed = List.mem_assoc job.engine Bounds.governed_engines in
-  if not (governed || Mp_bounds.is_engine job.engine) then
+  if Bounds.find job.engine = None then
     Error (Dmc_util.Budget.Invalid_input ("unknown engine: " ^ job.engine))
   else if job.p < 1 then
     Error (Dmc_util.Budget.Invalid_input "p must be positive")
@@ -67,13 +66,7 @@ let run job =
     match Dmc_cdag.Serialize.of_string job.graph with
     | Error msg -> Error (Dmc_util.Budget.Invalid_input ("bad graph: " ^ msg))
     | Ok g ->
-        let row =
-          if governed then
-            Bounds.governed_row ?timeout:job.timeout
-              ?node_budget:job.node_budget ~samples:job.samples g ~s:job.s
-              job.engine
-          else
-            Mp_bounds.row ?timeout:job.timeout ?node_budget:job.node_budget
-              ~samples:job.samples g ~p:job.p ~s:job.s job.engine
-        in
-        Ok (Bounds.row_to_json row)
+        Ok
+          (Bounds.row_to_json
+             (Bounds.row ?timeout:job.timeout ?node_budget:job.node_budget
+                ~samples:job.samples ~p:job.p g ~s:job.s job.engine))

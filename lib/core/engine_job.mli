@@ -3,18 +3,16 @@
     [dmc bounds --jobs N] ships one of these per engine to a pool
     worker: the CDAG travels in its text serialization, the engine by
     name, and the budget by value — the closure is reconstructed on
-    the other side with {!Bounds.governed_row} (or {!Mp_bounds.row} for the
-    multi-processor engines), so a job is fully
-    described by data and can be logged, checkpointed, or replayed
-    verbatim. *)
+    the other side with {!Bounds.row}, so a job is fully described by
+    data and can be logged, checkpointed, or replayed verbatim. *)
 
 type t = {
-  engine : string;
-      (** a name from {!Bounds.governed_engines} or
-          {!Mp_bounds.engines} *)
+  engine : string;  (** a name from {!Bounds.engines} *)
   graph : string;  (** {!Dmc_cdag.Serialize.to_string} text *)
   s : int;
-  p : int;  (** processor count; only the mp engines read it *)
+  p : int;
+      (** processor count; only engines whose quantity
+          {!Bounds.reads_p} read it *)
   timeout : float option;  (** cooperative per-rung deadline *)
   node_budget : int option;
   samples : int;
@@ -33,8 +31,8 @@ val to_json : t -> Dmc_util.Json.t
 val of_json : Dmc_util.Json.t -> (t, string) result
 
 val run : t -> (Dmc_util.Json.t, Dmc_util.Budget.failure) result
-(** Execute the job's full fallback ladder and return the row as a
-    {!Bounds.row_to_json} payload.  [Error] only for jobs broken
+(** Run the job's engine through {!Bounds.row} and return the row as
+    a {!Bounds.row_to_json} payload.  [Error] only for jobs broken
     before any engine runs: an unparseable graph, an unknown engine
     name, or [p] or [s] below 1 is [Invalid_input] — resource
     exhaustion inside the ladder degrades within the row instead. *)

@@ -1,18 +1,15 @@
-module Cdag := Dmc_cdag.Cdag
-
-(** Bound engines for the multi-processor game ({!Mp_game}, after
+(** The engines of the multi-processor game ({!Mp_game}, after
     arXiv 2409.03898) and the partial-computation game ({!Pc_game},
-    after arXiv 2506.10854).
+    after arXiv 2506.10854), as a view of {!Bounds.engines}.
 
-    The registry is deliberately separate from
-    {!Bounds.governed_engines}: those engines answer the
-    single-processor question "how much I/O does this CDAG force at
-    capacity S", these answer the parallel questions "how much
-    communication and how much time does it force at (p, S)".  Every
-    engine still produces an ordinary {!Bounds.row} through the same
-    fallback-ladder discipline (fresh budget per rung, unbudgeted
-    terminal rungs, failure taxonomy in [attempts]), so the sweep,
-    job-pool and report machinery consume the two families uniformly.
+    They are the table's entries whose quantity is not
+    {!Bounds.Seq}: the sequential engines answer "how much I/O does
+    this CDAG force at capacity S", these answer the parallel
+    questions "how much communication and how much time does it force
+    at (p, S)", and how much I/O with partial computations.  Each
+    produces an ordinary {!Bounds.row} through {!Bounds.row} and the
+    same fallback-ladder discipline, so the sweep, job-pool and report
+    machinery consume every engine uniformly.
 
     Soundness of the communication lower bound rests on the simulation
     argument: one processor with the pooled fast memory of [p * S]
@@ -21,52 +18,9 @@ module Cdag := Dmc_cdag.Cdag
     non-increasing in [p] and coincides with the sequential wavefront
     bound at [p = 1]. *)
 
-type info = {
-  name : string;
-  kind : Bounds.kind;
-  doc : string;  (** one line, shown by [dmc bounds --list-engines] *)
-}
-
-val engines : info list
-(** [mp-comm-lb], [mp-comm-ub], [mp-time-lb], [mp-time-ub],
-    [pc-io-lb], [pc-io-ub] — in presentation order. *)
-
-val engine_names : string list
-
-val find : string -> info option
-
 val is_engine : string -> bool
+(** [true] for exactly [mp-comm-lb], [mp-comm-ub], [mp-time-lb],
+    [mp-time-ub], [pc-io-lb] and [pc-io-ub]. *)
 
 val kind_of : string -> Bounds.kind option
-
-val span : Cdag.t -> int
-(** Critical-path length counting compute vertices — the
-    parallelism-independent makespan floor used by [mp-time-lb]. *)
-
-val row :
-  ?timeout:float ->
-  ?node_budget:int ->
-  ?samples:int ->
-  Cdag.t ->
-  p:int ->
-  s:int ->
-  string ->
-  Bounds.row
-(** Run one engine at [(p, s)] under the governed ladder.  [timeout]
-    and [node_budget] bound each non-terminal rung with a fresh
-    {!Dmc_util.Budget.t}; [samples] (default 64) sizes the sampled
-    wavefront rung.  Raises [Invalid_argument] on an unknown engine
-    name or non-positive [p] / [s]. *)
-
-val degraded_row :
-  Cdag.t ->
-  p:int ->
-  s:int ->
-  engine:string ->
-  failure:Dmc_util.Budget.failure ->
-  elapsed:float ->
-  Bounds.row
-(** The supervisor-side terminal rung for a lost worker, mirroring
-    {!Bounds.degraded_row}: lower engines fall to their O(n) floors,
-    upper engines to the trivial schedule when [s] admits one, with
-    [failure] recorded as a failed ["worker"] rung. *)
+(** The kind of one of those six engines; [None] for any other name. *)

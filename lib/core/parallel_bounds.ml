@@ -50,3 +50,19 @@ let mp_time_lower ~p ~g_cost ~work ~span ~comm_lb =
   if g_cost < 0 || work < 0 || span < 0 || comm_lb < 0 then
     invalid_arg "Parallel_bounds.mp_time_lower: negative argument";
   max span (ceil_div (work + (g_cost * comm_lb)) p)
+
+(* Critical path length in compute vertices: a makespan floor under
+   unit compute cost, independent of p and S. *)
+let span g =
+  let module Cdag = Dmc_cdag.Cdag in
+  let depth = Array.make (Cdag.n_vertices g) 0 in
+  let best = ref 0 in
+  Array.iter
+    (fun v ->
+      if not (Cdag.is_input g v) then begin
+        let d = 1 + Cdag.fold_pred g v (fun acc u -> max acc depth.(u)) 0 in
+        depth.(v) <- d;
+        if d > !best then best := d
+      end)
+    (Dmc_cdag.Topo.order g);
+  !best

@@ -40,6 +40,11 @@ val mp_comm_from_sequential : p:int -> seq_lb:(s:int -> int) -> s:int -> int
     {!Bounds.io_floor}).  Monotone non-increasing in [p], and at
     [p = 1] it is exactly the sequential bound. *)
 
+val span : Dmc_cdag.Cdag.t -> int
+(** Critical-path length counting compute vertices — the
+    parallelism-independent makespan floor that [mp-time-lb] passes as
+    {!mp_time_lower}'s [span]. *)
+
 val mp_time_lower :
   p:int -> g_cost:int -> work:int -> span:int -> comm_lb:int -> int
 (** Makespan lower bound under the cost model [compute = 1,

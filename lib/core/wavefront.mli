@@ -125,8 +125,8 @@ val exact_threshold : int
 
 (** {1 The fallback ladder}
 
-    The governed wavefront row ([Bounds.governed_row], and the
-    multi-processor communication rows of [Mp_bounds.row]) computes the
+    The governed wavefront row, and the [mp-comm-lb] and [mp-time-lb]
+    rows ([Bounds.row] on each), computes the
     {!lower_bound} formula twice under separate budgets: an exact rung
     over every vertex, then an anytime sampled rung when the exact one
     runs out.  Both rungs ask the same min-cut queries of the same two

@@ -485,7 +485,7 @@ let test_ladder_rows_match () =
       Dmc_gen.Workload.parse_exn "gmres:3,2,2";
     ]
   in
-  let samples = 16 and g_cost = 1 (* Mp_bounds charges I/O at g = 1 *) in
+  let samples = 16 and g_cost = 1 (* the mp ladders charge I/O at g = 1 *) in
   (* the budget levels reach every regime of the ladder *)
   let g0 = List.hd graphs in
   let regimes =
@@ -513,7 +513,7 @@ let test_ladder_rows_match () =
                 (Printf.sprintf "wavefront row, S=%d nodes=%d" s nodes)
                 true
                 (observed_row (fun () ->
-                     Bounds.governed_row ~node_budget:nodes ~samples g ~s "wavefront")
+                     Bounds.row ~node_budget:nodes ~samples g ~s "wavefront")
                 = ref_ladder ~nodes (seq @ [ ("floor", fun _ -> floor) ]));
               List.iter
                 (fun p ->
@@ -524,7 +524,7 @@ let test_ladder_rows_match () =
                   in
                   let time_lb comm_lb =
                     Dmc_core.Parallel_bounds.mp_time_lower ~p ~g_cost
-                      ~work:(Cdag.n_compute g) ~span:(Dmc_core.Mp_bounds.span g)
+                      ~work:(Cdag.n_compute g) ~span:(Dmc_core.Parallel_bounds.span g)
                       ~comm_lb
                   in
                   let time =
@@ -536,8 +536,7 @@ let test_ladder_rows_match () =
                         (Printf.sprintf "%s row, p=%d S=%d nodes=%d" engine p s nodes)
                         true
                         (observed_row (fun () ->
-                             Dmc_core.Mp_bounds.row ~node_budget:nodes ~samples g ~p ~s
-                               engine)
+                             Bounds.row ~node_budget:nodes ~samples ~p g ~s engine)
                         = expected))
                     [
                       ("mp-comm-lb", ref_ladder ~nodes (comm @ [ ("floor", fun _ -> floor) ]));
@@ -547,6 +546,46 @@ let test_ladder_rows_match () =
                 [ 1; 4 ])
             (budget_levels g ~samples ~s))
         [ 2; 6 ])
+    graphs
+
+(* A lost worker's row, derived from its engine's last rung, against
+   the two hand-written fallbacks it replaced, on every engine at both
+   sides of the trivial schedules' S threshold. *)
+let test_degraded_rows_match () =
+  let graphs =
+    [
+      Dmc_gen.Workload.parse_exn "fft:4";
+      Dmc_gen.Workload.parse_exn "tree:8";
+      Dmc_gen.Workload.parse_exn "diamond:4,4";
+      Dmc_gen.Random_dag.daggen (Rng.create 3) ~n:30 ~fat:0.5 ~density:0.3 ~ccr:1;
+    ]
+  in
+  let failure = Budget.Internal "crashed: SIGABRT" and elapsed = 0.25 in
+  List.iter
+    (fun g ->
+      let d = Dmc_testlib.Reference.max_indeg g in
+      List.iter
+        (fun (e : Bounds.engine) ->
+          List.iter
+            (fun (p, s) ->
+              let expected =
+                match e.quantity with
+                | Bounds.Seq ->
+                    Dmc_testlib.Reference.seq_degraded_row g ~s ~engine:e.name
+                      ~kind:e.kind ~failure ~elapsed
+                | _ ->
+                    Dmc_testlib.Reference.mp_degraded_row g ~p ~s ~engine:e.name
+                      ~failure ~elapsed
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s p=%d S=%d" e.name p s)
+                (Json.to_string (Bounds.row_to_json expected))
+                (Json.to_string
+                   (Bounds.row_to_json
+                      (Bounds.degraded_row ~p g ~s ~engine:e.name ~failure
+                         ~elapsed))))
+            [ (1, 1); (1, d); (1, d + 1); (4, 1); (4, d); (4, d + 1) ])
+        Bounds.engines)
     graphs
 
 (* ------------------------------------------------------------------ *)
@@ -696,6 +735,8 @@ let () =
           Alcotest.test_case "fallback stays sound" `Quick test_governed_fallback_sound;
           Alcotest.test_case "status strings" `Quick test_governed_status_strings;
           Alcotest.test_case "shared ladder rows match" `Quick test_ladder_rows_match;
+          Alcotest.test_case "degraded rows match oracle" `Quick
+            test_degraded_rows_match;
         ] );
       qsuite "ladder-props" [ prop_ladder_layered; prop_ladder_daggen ];
       ( "checkpoint",

@@ -170,7 +170,7 @@ let test_chrome_trace_failed_rung =
          and stamp the failure outcome — failed work has to show up in
          the trace, not vanish. *)
       let g = Dmc_gen.Shapes.diamond ~rows:4 ~cols:4 in
-      let row = Dmc_core.Bounds.governed_row ~node_budget:50 g ~s:4 "partition-h" in
+      let row = Dmc_core.Bounds.row ~node_budget:50 g ~s:4 "partition-h" in
       ignore row;
       let found = ref false in
       Registry.iter_events (fun e ->

@@ -129,6 +129,18 @@ let test_grid_validation () =
   must_error "wrong arity" (make [ "fft:3,4,5" ]);
   must_error "non-integer param" (make [ "fft:x" ]);
   must_error "padded param" (make [ "fft: 3" ]);
+  (* a p axis over engines that do not read p: the pc-io rows are the
+     same at every p *)
+  (match
+     Sweep.make ~specs:[ "tree:16" ] ~ss:[ 4 ] ~ps:[ 1; 2; 4 ]
+       ~engines:[ "pc-io-lb"; "pc-io-ub" ] ()
+   with
+  | Ok _ -> Alcotest.fail "p axis over pc-io engines accepted"
+  | Error e ->
+      check_str "names the p-sensitive engines"
+        "sweep: p values given but no selected engine is p-sensitive (pick \
+         from: mp-comm-lb, mp-comm-ub, mp-time-lb, mp-time-ub)"
+        e);
   (match make [ "nosuch:3" ] with
   | Ok _ -> Alcotest.fail "unknown workload accepted"
   | Error e ->
@@ -705,7 +717,7 @@ let test_remote_obs_counters_match_local () =
     (strip_run_shape remote_table)
 
 (* ------------------------------------------------------------------ *)
-(* S below 1: the grid, the job and every [dmc bounds] mode reject it   *)
+(* S or P below 1: the grid, the job and every [dmc bounds] mode reject it *)
 
 let test_engine_job_rejects_s0 () =
   let g = Dmc_gen.Shapes.chain 5 in
@@ -717,20 +729,25 @@ let test_engine_job_rejects_s0 () =
       | Ok _ -> Alcotest.failf "%s accepted S = 0" engine)
     [ "floor"; "optimal"; "mp-comm-lb" ]
 
-let test_bounds_cli_rejects_s0 () =
+(* [dmc ARGV] with stderr merged: its exit code and output. *)
+let run_dmc argv =
   if not (Sys.file_exists dmc_exe) then
     Alcotest.fail ("dmc binary missing: " ^ dmc_exe);
+  let cmd =
+    String.concat " " (List.map Filename.quote (dmc_exe :: argv)) ^ " 2>&1"
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | _ -> Alcotest.failf "%s killed" cmd
+
+let test_bounds_cli_rejects_s0 () =
   List.iter
     (fun mode ->
-      let argv = (dmc_exe :: "bounds" :: mode) @ [ "-s"; "0" ] in
-      let cmd = String.concat " " (List.map Filename.quote argv) ^ " 2>&1" in
-      let ic = Unix.open_process_in cmd in
-      let out = In_channel.input_all ic in
+      let code, out = run_dmc (("bounds" :: mode) @ [ "-s"; "0" ]) in
       let what = String.concat " " mode in
-      (match Unix.close_process_in ic with
-      | Unix.WEXITED 1 -> ()
-      | Unix.WEXITED n -> Alcotest.failf "%s exited %d:\n%s" what n out
-      | _ -> Alcotest.failf "%s killed" what);
+      if code <> 1 then Alcotest.failf "%s exited %d:\n%s" what code out;
       check_str what "dmc: bounds: S must be >= 1\n" out)
     [
       [ "-g"; "chain:5" ];
@@ -741,6 +758,47 @@ let test_bounds_cli_rejects_s0 () =
       [ "--stream"; "-g"; "jacobi1d:100,2" ];
       [ "--symbolic"; "-g"; "jacobi1d:100,2" ];
     ]
+
+let test_bounds_cli_rejects_p0 () =
+  List.iter
+    (fun extra ->
+      let argv = [ "bounds"; "-g"; "chain:5"; "-s"; "2"; "-p"; "0" ] @ extra in
+      let what = String.concat " " argv in
+      let code, out = run_dmc argv in
+      check what 1 code;
+      check_str what "dmc: bounds: P must be >= 1\n" out)
+    [ []; [ "--jobs"; "2" ] ]
+
+(* ------------------------------------------------------------------ *)
+(* The engine table seen from the CLI                                  *)
+
+let test_engine_list_golden () =
+  let code, out = run_dmc [ "bounds"; "--list-engines" ] in
+  check "exit" 0 code;
+  check_str "--list-engines"
+    (In_channel.with_open_bin (Filename.concat "golden" "engines.txt")
+       In_channel.input_all)
+    out
+
+(* The run-control flags reach the -p rows: a crashed worker's mp-comm-lb
+   row degrades to its floor, as the first sequential row does. *)
+let test_mp_rows_degrade () =
+  let code, out =
+    run_dmc
+      [ "bounds"; "-g"; "fft:5"; "-s"; "6"; "-p"; "4"; "--jobs"; "2";
+        "--fault"; "abort:1"; "--retries"; "0" ]
+  in
+  check "exit" 0 code;
+  match
+    List.find_opt
+      (String.starts_with ~prefix:"  mp-comm-lb")
+      (String.split_on_char '\n' out)
+  with
+  | None -> Alcotest.failf "no mp-comm-lb row in:\n%s" out
+  | Some line ->
+      check_str "mp-comm-lb row"
+        "  mp-comm-lb   lb     64       rung=floor    internal(fallback=floor)"
+        line
 
 let () =
   Alcotest.run "dmc_sweep"
@@ -795,6 +853,15 @@ let () =
             test_engine_job_rejects_s0;
           Alcotest.test_case "every bounds mode rejects S = 0" `Quick
             test_bounds_cli_rejects_s0;
+          Alcotest.test_case "bounds rejects P = 0" `Quick
+            test_bounds_cli_rejects_p0;
+        ] );
+      ( "engines",
+        [
+          Alcotest.test_case "list matches golden" `Quick
+            test_engine_list_golden;
+          Alcotest.test_case "mp rows degrade under faults" `Quick
+            test_mp_rows_degrade;
         ] );
       ( "determinism",
         [

@@ -163,6 +163,83 @@ let wavefront_sum ~pieces ~s =
       acc + best + di)
     0 pieces
 
+module Bounds = Dmc_core.Bounds
+module Strategy = Dmc_core.Strategy
+
+let max_indeg g =
+  Cdag.fold_vertices g
+    (fun acc v ->
+      if Cdag.is_input g v then acc else max acc (Cdag.in_degree g v))
+    0
+
+let seq_degraded_row g ~s ~engine ~kind ~failure ~elapsed =
+  let attempts = [ ("worker", failure) ] in
+  match kind with
+  | Bounds.Lower | Bounds.Exact ->
+      {
+        Bounds.engine;
+        kind;
+        value = Some (Bounds.io_floor g);
+        rung = "floor";
+        attempts;
+        elapsed;
+      }
+  | Bounds.Upper ->
+      if s >= max_indeg g + 1 then
+        {
+          Bounds.engine;
+          kind;
+          value = Some (Strategy.trivial_io g);
+          rung = "trivial";
+          attempts;
+          elapsed;
+        }
+      else { Bounds.engine; kind; value = None; rung = "-"; attempts; elapsed }
+
+let span g =
+  let depth = Array.make (Cdag.n_vertices g) 0 in
+  let best = ref 0 in
+  Array.iter
+    (fun v ->
+      if not (Cdag.is_input g v) then begin
+        let d = 1 + Cdag.fold_pred g v (fun acc u -> max acc depth.(u)) 0 in
+        depth.(v) <- d;
+        if d > !best then best := d
+      end)
+    (Dmc_cdag.Topo.order g);
+  !best
+
+let mp_degraded_row g ~p ~s ~engine ~failure ~elapsed =
+  let kind =
+    match engine with
+    | "mp-comm-lb" | "mp-time-lb" | "pc-io-lb" -> Bounds.Lower
+    | "mp-comm-ub" | "mp-time-ub" | "pc-io-ub" -> Bounds.Upper
+    | _ -> invalid_arg ("Reference.mp_degraded_row: unknown engine " ^ engine)
+  in
+  let attempts = [ ("worker", failure) ] in
+  let mk value rung = { Bounds.engine; kind; value; rung; attempts; elapsed } in
+  let floor = Bounds.io_floor g in
+  match engine with
+  | "mp-comm-lb" | "pc-io-lb" -> mk (Some floor) "floor"
+  | "mp-time-lb" ->
+      mk
+        (Some
+           (Dmc_core.Parallel_bounds.mp_time_lower ~p ~g_cost:1
+              ~work:(Cdag.n_compute g) ~span:(span g) ~comm_lb:floor))
+        "floor"
+  | "mp-comm-ub" ->
+      if s >= max_indeg g + 1 then mk (Some (Strategy.mp_trivial_io g)) "trivial"
+      else mk None "-"
+  | "mp-time-ub" ->
+      if s >= max_indeg g + 1 then
+        match Dmc_core.Mp_game.run ~g_cost:1 g ~p ~s (Strategy.mp_trivial g ~p) with
+        | Ok stats -> mk (Some stats.Dmc_core.Mp_game.makespan) "trivial"
+        | Error _ -> mk None "-"
+      else mk None "-"
+  | _ ->
+      if s >= 2 then mk (Some (Strategy.trivial_io g)) "trivial"
+      else mk None "-"
+
 let graph_diff a b =
   let module S = Dmc_cdag.Serialize in
   let sa = S.to_string a and sb = S.to_string b in

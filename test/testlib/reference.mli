@@ -50,6 +50,28 @@ val wavefront_sum :
 (** [Decompose.wavefront_sum]: per piece, the inputs-stripped graph's
     best Lemma-2 term over the mapped targets plus [|dI|], summed. *)
 
+(** {1 Degraded rows}
+
+    The two hand-written supervisor-side fallbacks that
+    {!Dmc_core.Bounds.degraded_row} replaced: oracles for the row a
+    lost worker's engine degrades to. *)
+
+val max_indeg : Cdag.t -> int
+(** The largest in-degree of a non-input vertex. *)
+
+val seq_degraded_row :
+  Cdag.t -> s:int -> engine:string -> kind:Dmc_core.Bounds.kind ->
+  failure:Dmc_util.Budget.failure -> elapsed:float -> Dmc_core.Bounds.row
+(** A sequential engine: the I/O floor for lower-bound and exact
+    engines, the trivial schedule for upper-bound ones when S exceeds
+    the max in-degree. *)
+
+val mp_degraded_row :
+  Cdag.t -> p:int -> s:int -> engine:string ->
+  failure:Dmc_util.Budget.failure -> elapsed:float -> Dmc_core.Bounds.row
+(** An mp/pc engine: its floor, or its trivial schedule when S admits
+    one ([mp-time-ub] replays it through {!Dmc_core.Mp_game.run}). *)
+
 (** {1 Comparisons} *)
 
 val graph_diff : Cdag.t -> Cdag.t -> string option
