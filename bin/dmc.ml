@@ -195,12 +195,12 @@ let gen_cmd =
    supervisor-side to the engine's last rung, with the pool verdict
    recorded as the failed "worker" rung. *)
 let bounds_pooled ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-    ?node_budget ~p g ~s names =
+    ?node_budget ?record ~p g ~s names =
   let module Pool = Dmc_runtime.Pool in
   let engine_jobs =
     (* one serialization, shared by every engine's job *)
     let base =
-      Dmc_core.Engine_job.make ?timeout ?node_budget ~p g ~s ~engine:""
+      Dmc_core.Engine_job.make ?timeout ?node_budget ?record ~p g ~s ~engine:""
     in
     List.map (fun name -> { base with Dmc_core.Engine_job.engine = name }) names
   in
@@ -373,13 +373,20 @@ let bounds_cmd =
       jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
       || profile || progress
     in
+    (* one wavefront record, replayed by every row that reads it *)
     let rows ~p names =
+      let record =
+        if Dmc_core.Bounds.wants_record ?node_budget names then
+          Some (Dmc_core.Bounds.wavefront_record ?timeout ?node_budget g)
+        else None
+      in
       if pooled then
         bounds_pooled ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
-          ?node_budget ~p g ~s names
+          ?node_budget ?record ~p g ~s names
       else
         List.map
-          (fun name -> Dmc_core.Bounds.row ?timeout ?node_budget ~p g ~s name)
+          (fun name ->
+            Dmc_core.Bounds.row ?timeout ?node_budget ?record ~p g ~s name)
           names
     in
     let print_governed gr =
@@ -1527,14 +1534,6 @@ let sweep_cmd =
     in
     let rows = Sweep.rows grid in
     let total = List.length rows in
-    let jobs_list =
-      List.map
-        (fun r ->
-          match Sweep.job grid r with
-          | Ok j -> (r, j)
-          | Error e -> failwith (Printf.sprintf "%s: %s" r.Sweep.workload e))
-        rows
-    in
     let ckpt_path =
       match (checkpoint, resume) with
       | Some p, _ -> Some p
@@ -1569,8 +1568,14 @@ let sweep_cmd =
     in
     List.iteri (fun i payload -> commit ~write:false i payload) completed;
     let n_completed = List.length completed in
+    (* Jobs only for the rows still to run: a job may carry its
+       workload's wavefront record, computed here. *)
     let remaining =
-      List.filteri (fun i _ -> i >= n_completed) jobs_list
+      List.filteri (fun i _ -> i >= n_completed) rows
+      |> List.map (fun r ->
+             match Sweep.job grid r with
+             | Ok j -> (r, j)
+             | Error e -> failwith (Printf.sprintf "%s: %s" r.Sweep.workload e))
     in
     let row_arr = Array.of_list rows in
     let cfg =

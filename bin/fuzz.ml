@@ -25,6 +25,13 @@
         each quantity's lower-bound row is at most its upper-bound
         row, the mp lower bounds never rise with p, and at p = 1
         mp-comm-lb is max(floor row, wavefront row).
+    13. a replayed ladder is the ladder: on a daggen graph, every
+        ladder-reading engine's row under a node budget B (a quarter to
+        one and a half times the full exact sweep), seeded with a
+        wavefront record taken under B/2, B, 2B or no limit, has the
+        unseeded row's value, rung, failed rungs and budget ticks, at
+        two values of S (and of p, for engines that read it); every
+        record round-trips through the engine-job JSON.
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -239,6 +246,67 @@ let one_case rng g ~s =
   in
   require "mp-comm-lb at p=1 = max(floor, wavefront)"
     (at 1 "mp-comm-lb" = max (gov_value "floor") (gov_value "wavefront"));
+
+  (* 13: seeded rows against derived ones, on a daggen graph keyed by
+     the case's size and S; draws nothing from [rng] *)
+  let dg =
+    Dmc_gen.Random_dag.daggen
+      (Rng.create ((n * 7919) + s))
+      ~n:(16 + n) ~fat:0.5 ~density:0.4 ~ccr:2
+  in
+  let c_ticks = Dmc_obs.Counter.make "budget.ticks" in
+  (* a row's outcome and the budget ticks its rungs spent *)
+  let outcome f =
+    let was = Dmc_obs.Registry.is_enabled () in
+    Dmc_obs.Registry.set_enabled true;
+    let before = Dmc_obs.Counter.value c_ticks in
+    let (r : B.row) =
+      Fun.protect ~finally:(fun () -> Dmc_obs.Registry.set_enabled was) f
+    in
+    (r.value, r.rung, r.attempts, Dmc_obs.Counter.value c_ticks - before)
+  in
+  (* B from a quarter to one and a half times what the unlimited exact
+     rung spends, so the rows' exact rungs both finish and exhaust *)
+  let budget =
+    let spent = Dmc_util.Budget.create () in
+    (match B.wavefront_rungs dg with
+    | (_, exact) :: _ -> ignore (exact (Some spent) ~s : int)
+    | [] -> ());
+    1 + (Dmc_util.Budget.spent spent * (1 + ((n + s) mod 6)) / 4)
+  in
+  let records =
+    List.map
+      (fun node_budget -> B.wavefront_record ?node_budget dg)
+      [ Some (budget / 2); Some budget; Some (2 * budget); None ]
+  in
+  List.iter
+    (fun record ->
+      let job = Dmc_core.Engine_job.make ~record dg ~s ~engine:"wavefront" in
+      match Dmc_core.Engine_job.(of_json (to_json job)) with
+      | Ok j -> require "record JSON round-trip" (j.record = Some record)
+      | Error m -> raise (Violation ("record JSON: " ^ m)))
+    records;
+  List.iter
+    (fun (e : B.engine) ->
+      if B.takes_record e.name then
+        List.iter
+          (fun s ->
+            List.iter
+              (fun p ->
+                let derived =
+                  outcome (fun () -> B.row ~node_budget:budget ~p dg ~s e.name)
+                in
+                List.iter
+                  (fun record ->
+                    require
+                      (Printf.sprintf "%s replayed = derived at S=%d p=%d" e.name s p)
+                      (outcome (fun () ->
+                           B.row ~node_budget:budget ~record ~p dg ~s e.name)
+                      = derived))
+                  records)
+              (if B.reads_p e.quantity then [ 1; 2 ] else [ 1 ]))
+          [ s; 2 * s ])
+    B.engines;
   n
 
 (* ------------------------------------------------------------------ *)

@@ -17,8 +17,11 @@ type t = {
   budget : int option;
   grid_rows : row list;
   graphs : (string, Dmc_cdag.Cdag.t) Hashtbl.t;
-  base_jobs : (string, Engine_job.t) Hashtbl.t;
-      (* one job per workload; its rows share the serialized graph *)
+  base_jobs :
+    (string, Engine_job.t * Dmc_core.Wavefront.record Lazy.t option) Hashtbl.t;
+      (* one job per workload, and its wavefront record when the grid
+         wants one: its rows share the serialized graph, and its
+         ladder-reading rows the record *)
 }
 
 let rows t = t.grid_rows
@@ -73,11 +76,6 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
     | None -> List.map fst Bounds.governed_engines
   in
   let known = List.map (fun (e : Bounds.engine) -> e.name) Bounds.engines in
-  let reads_p name =
-    match Bounds.find name with
-    | Some e -> Bounds.reads_p e.quantity
-    | None -> false
-  in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if specs = [] then err "sweep: no workload specs"
   else if ss = [] then err "sweep: no S values"
@@ -89,12 +87,12 @@ let make ~specs ?(sizes = []) ?(seeds = []) ~ss ?(ps = [ 1 ]) ?engines ?timeout
     (* The same two-way check as {n}/{seed}: a p axis that no selected
        engine reads would silently multiply the grid with duplicate
        rows. *)
-    ps <> [ 1 ] && not (List.exists reads_p engines)
+    ps <> [ 1 ] && not (List.exists Bounds.engine_reads_p engines)
   then
     err
       "sweep: p values given but no selected engine is p-sensitive (pick \
        from: %s)"
-      (String.concat ", " (List.filter reads_p known))
+      (String.concat ", " (List.filter Bounds.engine_reads_p known))
   else
     match List.find_opt (fun e -> not (List.mem e known)) engines with
     | Some e ->
@@ -168,7 +166,9 @@ let graph t workload =
         (Workload.parse workload)
 
 (* Serializing a graph costs more than most rows' engine work, so each
-   workload's text is made once and shared by all of its rows. *)
+   workload's text is made once and shared by all of its rows.  So is
+   its wavefront record: neither S nor p enters it, so every row that
+   takes one replays the same min-cuts. *)
 let job t row =
   let base =
     match Hashtbl.find_opt t.base_jobs row.workload with
@@ -180,12 +180,26 @@ let job t row =
               Engine_job.make ?timeout:t.tmo ?node_budget:t.budget g ~s:row.s
                 ~engine:row.engine
             in
-            Hashtbl.replace t.base_jobs row.workload j;
-            j)
+            let record =
+              if Bounds.wants_record ?node_budget:t.budget t.engines then
+                Some
+                  (lazy
+                    (Bounds.wavefront_record ?timeout:t.tmo
+                       ?node_budget:t.budget g))
+              else None
+            in
+            Hashtbl.replace t.base_jobs row.workload (j, record);
+            (j, record))
           (graph t row.workload)
   in
   Result.map
-    (fun j -> { j with Engine_job.engine = row.engine; s = row.s; p = row.p })
+    (fun (j, record) ->
+      let record =
+        match record with
+        | Some r when Bounds.takes_record row.engine -> Some (Lazy.force r)
+        | _ -> None
+      in
+      { j with Engine_job.engine = row.engine; s = row.s; p = row.p; record })
     base
 
 let degraded t row ~failure =

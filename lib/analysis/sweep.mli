@@ -57,7 +57,14 @@ val node_budget : t -> int option
 val job : t -> row -> (Dmc_core.Engine_job.t, string) result
 (** The serializable bound computation for one row.  Graphs are built
     and serialized once per concrete workload spec and memoized inside
-    [t]: the rows of one workload share one graph text. *)
+    [t]: the rows of one workload share one graph text, and the job
+    keeps the built graph for a forked worker.  When the grid's
+    engines {!Dmc_core.Bounds.wants_record}, a row that
+    {!Dmc_core.Bounds.takes_record} also carries its workload's
+    {!Dmc_core.Bounds.wavefront_record}, computed here, in the
+    caller's process, on the first such row of the workload: its rows
+    replay one set of min-cuts with the same values and budget
+    ticks. *)
 
 val degraded :
   t -> row -> failure:Dmc_util.Budget.failure -> (Dmc_util.Json.t, string) result

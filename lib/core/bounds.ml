@@ -171,11 +171,15 @@ let quantity_to_string = function
 
 let reads_p = function Mp_comm | Mp_time -> true | Seq | Pc_io -> false
 
+(* Where an engine's ladder reads the wavefront ladder's min-cuts. *)
+type ladder_read = Never | First | Fallback
+
 type ctx = {
   g : Cdag.t;
   p : int;
   s : int;
   samples : int;
+  record : Wavefront.record option;
   floor : int Lazy.t;
   wavefront : int Lazy.t;
 }
@@ -186,6 +190,7 @@ type engine = {
   name : string;
   kind : kind;
   quantity : quantity;
+  reads_ladder : ladder_read;
   doc : string;
   ladder : ctx -> (string * (Budget.t option -> int)) list;
 }
@@ -291,8 +296,8 @@ let run_ladder ?timeout ?node_budget ~engine ~kind rungs =
   in
   go [] rungs
 
-let wavefront_rungs ?samples g =
-  let l = lazy (Wavefront.ladder ?samples g) in
+let wavefront_rungs ?samples ?record g =
+  let l = lazy (Wavefront.ladder ?samples ?record g) in
   [
     ("exact", fun b ~s -> Wavefront.exact_rung ?budget:b (Lazy.force l) ~s);
     ("sampled", fun b ~s -> Wavefront.sampled_rung ?budget:b (Lazy.force l) ~s);
@@ -307,7 +312,7 @@ let floor_rung c = ("floor", fun _ -> Lazy.force c.floor)
 let wavefront_ladder c =
   List.map
     (fun (rung, f) -> (rung, fun b -> f b ~s:c.s))
-    (wavefront_rungs ~samples:c.samples c.g)
+    (wavefront_rungs ~samples:c.samples ?record:c.record c.g)
   @ [ floor_rung c ]
 
 (* The wavefront's achieved value is the middle rung of every other
@@ -348,7 +353,7 @@ let comm_lb_rungs c =
           Parallel_bounds.mp_comm_from_sequential ~p:c.p ~seq_lb:(seq_lb b)
             ~s:c.s
           |> max (Lazy.force c.floor) ))
-    (wavefront_rungs ~samples:c.samples c.g)
+    (wavefront_rungs ~samples:c.samples ?record:c.record c.g)
 
 let g_cost = 1
 
@@ -369,36 +374,36 @@ let mp_trivial_msg = "Mp_bounds: S too small for the trivial schedule"
 
 let engines =
   [
-    { name = "floor"; kind = Lower; quantity = Seq;
+    { name = "floor"; kind = Lower; quantity = Seq; reads_ladder = Never;
       doc = "I/O floor: every input read + every non-input output written";
       ladder = (fun c -> [ ("exact", fun _ -> Lazy.force c.floor) ]) };
-    { name = "wavefront"; kind = Lower; quantity = Seq;
+    { name = "wavefront"; kind = Lower; quantity = Seq; reads_ladder = First;
       doc = "min-cut wavefront bound (Lemma 2), exact then sampled";
       ladder = wavefront_ladder };
-    { name = "partition-h"; kind = Lower; quantity = Seq;
+    { name = "partition-h"; kind = Lower; quantity = Seq; reads_ladder = Fallback;
       doc = "Lemma 1 with the exhaustive H(2S) partition count";
       ladder = lb_ladder (fun c b -> Spartition.lower_bound_exact ?budget:b c.g ~s:c.s) };
-    { name = "partition-u"; kind = Lower; quantity = Seq;
+    { name = "partition-u"; kind = Lower; quantity = Seq; reads_ladder = Fallback;
       doc = "Corollary 1 with the exhaustive U(2S) vertex count";
       ladder = lb_ladder (fun c b -> Spartition.lower_bound_u ?budget:b c.g ~s:c.s) };
-    { name = "span"; kind = Lower; quantity = Seq;
+    { name = "span"; kind = Lower; quantity = Seq; reads_ladder = Fallback;
       doc = "Savage S-span lower bound";
       ladder = lb_ladder (fun c b -> Span.lower_bound ?budget:b c.g ~s:c.s) };
-    { name = "optimal"; kind = Exact; quantity = Seq;
+    { name = "optimal"; kind = Exact; quantity = Seq; reads_ladder = Fallback;
       doc = "exhaustive optimal-game search (tiny graphs, exact)";
       ladder = lb_ladder (fun c b -> Optimal.rbw_io ?budget:b c.g ~s:c.s) };
-    { name = "belady"; kind = Upper; quantity = Seq;
+    { name = "belady"; kind = Upper; quantity = Seq; reads_ladder = Never;
       doc = "Belady-policy schedule: a certified upper bound";
       ladder = ub_ladder Strategy.Belady };
-    { name = "lru"; kind = Upper; quantity = Seq;
+    { name = "lru"; kind = Upper; quantity = Seq; reads_ladder = Never;
       doc = "LRU-policy schedule: a certified upper bound";
       ladder = ub_ladder Strategy.Lru };
-    { name = "mp-comm-lb"; kind = Lower; quantity = Mp_comm;
+    { name = "mp-comm-lb"; kind = Lower; quantity = Mp_comm; reads_ladder = First;
       doc =
         "communication LB: sequential wavefront bound at capacity p*S \
          (one processor with the pooled fast memory simulates the game)";
       ladder = (fun c -> comm_lb_rungs c @ [ floor_rung c ]) };
-    { name = "mp-comm-ub"; kind = Upper; quantity = Mp_comm;
+    { name = "mp-comm-ub"; kind = Upper; quantity = Mp_comm; reads_ladder = Never;
       doc =
         "communication UB: I/O of a valid p-processor Belady schedule \
          (cross-processor values travel store -> load through slow memory)";
@@ -411,7 +416,7 @@ let engines =
             trivial_rung ~fits:(operands_fit c) ~msg:mp_trivial_msg (fun () ->
                 Strategy.mp_trivial_io c.g);
           ]) };
-    { name = "mp-time-lb"; kind = Lower; quantity = Mp_time;
+    { name = "mp-time-lb"; kind = Lower; quantity = Mp_time; reads_ladder = First;
       doc =
         "makespan LB: max of the critical path and the busiest \
          processor's ceil-share of compute + g*comm work";
@@ -421,7 +426,7 @@ let engines =
             (fun (rung, comm_lb) -> (rung, fun b -> time_lb c ~comm_lb:(comm_lb b)))
             (comm_lb_rungs c)
           @ [ ("floor", fun _ -> time_lb c ~comm_lb:(Lazy.force c.floor)) ]) };
-    { name = "mp-time-ub"; kind = Upper; quantity = Mp_time;
+    { name = "mp-time-ub"; kind = Upper; quantity = Mp_time; reads_ladder = Never;
       doc =
         "makespan UB: list-scheduling makespan of the replayed \
          p-processor Belady schedule (compute = 1, I/O = g)";
@@ -436,13 +441,13 @@ let engines =
             trivial_rung ~fits:(operands_fit c) ~msg:mp_trivial_msg (fun () ->
                 replay_makespan c (Strategy.mp_trivial c.g ~p:c.p));
           ]) };
-    { name = "pc-io-lb"; kind = Lower; quantity = Pc_io;
+    { name = "pc-io-lb"; kind = Lower; quantity = Pc_io; reads_ladder = Never;
       doc =
         "partial-computation I/O LB: the I/O floor (inputs read + \
          outputs written; S-partition arguments do not survive partial \
          recomputation)";
       ladder = (fun c -> [ floor_rung c ]) };
-    { name = "pc-io-ub"; kind = Upper; quantity = Pc_io;
+    { name = "pc-io-ub"; kind = Upper; quantity = Pc_io; reads_ladder = Never;
       doc =
         "partial-computation I/O UB: I/O of a valid Begin/Absorb/Finish \
          Belady schedule (two red pebbles cover any in-degree)";
@@ -474,13 +479,14 @@ let find_exn name =
    on demand by running the wavefront ladder; that is
    value-deterministic (fixed sampler seed) even if the work is
    repeated. *)
-let context ?timeout ?node_budget ?wavefront ~samples ~p g ~s =
+let context ?timeout ?node_budget ?wavefront ?record ~samples ~p g ~s =
   let rec c =
     {
       g;
       p;
       s;
       samples;
+      record;
       floor = lazy (io_floor g);
       wavefront =
         lazy
@@ -498,12 +504,43 @@ let context ?timeout ?node_budget ?wavefront ~samples ~p g ~s =
   in
   c
 
-let row ?timeout ?node_budget ?(samples = 64) ?wavefront ?(p = 1) g ~s name =
+let row ?timeout ?node_budget ?(samples = 64) ?wavefront ?record ?(p = 1) g ~s
+    name =
   let e = find_exn name in
   if p < 1 then invalid_arg "Bounds.row: p must be positive";
   if s < 1 then invalid_arg "Bounds.row: s must be positive";
+  (match record with
+  | Some r when not (Wavefront.record_fits r g) ->
+      invalid_arg "Bounds.row: the wavefront record does not fit the graph"
+  | _ -> ());
   run_ladder ?timeout ?node_budget ~engine:name ~kind:e.kind
-    (e.ladder (context ?timeout ?node_budget ?wavefront ~samples ~p g ~s))
+    (e.ladder
+       (context ?timeout ?node_budget ?wavefront ?record ~samples ~p g ~s))
+
+let engine_reads_p name =
+  match find name with Some e -> reads_p e.quantity | None -> false
+
+let takes_record name =
+  match find name with Some e -> e.reads_ladder <> Never | None -> false
+
+let wants_record ?node_budget names =
+  node_budget <> None
+  && List.exists
+       (fun name ->
+         match find name with Some e -> e.reads_ladder = First | None -> false)
+       names
+
+(* The rows' own rung budgets, outside [run_ladder]: no rung span, no
+   [budget.ticks]. *)
+let wavefront_record ?timeout ?node_budget ?samples g =
+  let l = Wavefront.ladder ?samples g in
+  let rung f =
+    let budget = Budget.create ?deadline:timeout ?nodes:node_budget () in
+    Result.is_ok (Engine.run ~budget (fun () -> f budget))
+  in
+  if not (rung (fun b -> Wavefront.exact_rung ~budget:b l ~s:1)) then
+    ignore (rung (fun b -> Wavefront.sampled_rung ~budget:b l ~s:1) : bool);
+  Wavefront.record l
 
 (* The last rung of every ladder is its O(n) terminal rung: the floor
    of a lower-bound ladder, the trivial schedule of an upper-bound

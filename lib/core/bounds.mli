@@ -110,6 +110,16 @@ val reads_p : quantity -> bool
 (** Only the [Mp_comm] and [Mp_time] engines read the processor count;
     every other row is the same at any p. *)
 
+type ladder_read =
+  | Never  (** no rung reads the wavefront ladder *)
+  | First  (** the first rung does: every row runs its min-cuts *)
+  | Fallback
+      (** a later rung does: only a row whose own exact rung fails
+          runs them *)
+(** Where an engine's ladder reads the wavefront ladder: the S- and
+    p-independent min-cut queries that {!wavefront_record} computes
+    once per graph and [row ~record] replays. *)
+
 type ctx
 (** What a ladder reads: the graph, p, S, the sample count, and the
     I/O floor and wavefront value, each computed on first use. *)
@@ -118,6 +128,7 @@ type engine = {
   name : string;
   kind : kind;
   quantity : quantity;
+  reads_ladder : ladder_read;
   doc : string;  (** one line, shown by [dmc bounds --list-engines] *)
   ladder : ctx -> (string * (Dmc_util.Budget.t option -> int)) list;
       (** the named rungs, first choice first; the last is the O(n)
@@ -195,24 +206,62 @@ val governed_engines : (string * kind) list
     runs, in output order. *)
 
 val wavefront_rungs :
-  ?samples:int -> Cdag.t ->
+  ?samples:int -> ?record:Wavefront.record -> Cdag.t ->
   (string * (Dmc_util.Budget.t option -> s:int -> int)) list
 (** The wavefront ladder's budgeted rungs, ["exact"] then ["sampled"]
     ([samples] draws per stripped graph, default 64), sharing one
-    {!Wavefront.ladder} built on first use: the sampled rung replays
-    the exact rung's completed min-cuts instead of re-running them. *)
+    {!Wavefront.ladder} built on first use (seeded with [record]): the
+    sampled rung replays the exact rung's recorded min-cuts instead of
+    re-running them. *)
 
 val row :
   ?timeout:float -> ?node_budget:int -> ?samples:int -> ?wavefront:int ->
-  ?p:int -> Cdag.t -> s:int -> string -> row
+  ?record:Wavefront.record -> ?p:int -> Cdag.t -> s:int -> string -> row
 (** One engine's full fallback ladder at [(p, s)]; [p] defaults to 1,
     and only engines whose quantity {!reads_p} read it.  [samples]
     (default 64) sizes the sampled wavefront rungs.  [wavefront] is the
     already-computed wavefront bound used as the middle rung of the
     other sequential lower-bound ladders; when omitted it is derived on
-    demand (value-deterministic: the sampler seed is fixed).  Raises
-    [Invalid_argument] on an engine name not in {!engines}, or on [p]
-    or [s] below 1. *)
+    demand (value-deterministic: the sampler seed is fixed).  [record]
+    seeds the row's wavefront ladder ({!wavefront_record}): under a
+    node budget the row's value, rungs and budget ticks are the
+    unseeded row's, and only the min-cuts the record cannot settle
+    run.  Raises [Invalid_argument]
+    on an engine name not in {!engines}, on [p] or [s] below 1, or on
+    a record that does not {!Wavefront.record_fits} [g]. *)
+
+val engine_reads_p : string -> bool
+(** {!reads_p} of the named engine's quantity; [false] for a name not
+    in {!engines}. *)
+
+val takes_record : string -> bool
+(** Some rung of the named engine reads the wavefront ladder (its
+    [reads_ladder] is not [Never]): its rows replay a
+    {!wavefront_record} when given one. *)
+
+val wants_record : ?node_budget:int -> string list -> bool
+(** Whether the rows of these engines should replay one
+    {!wavefront_record} per graph: a node budget is set, and some
+    engine reads the ladder at its [First] rung, so its every row runs
+    the min-cuts the record holds.  [Fallback] engines alone do not
+    ask for one: when their exact rungs succeed, no row would replay
+    it.  Without a budget the record would be unbounded work in the
+    caller's process, out of reach of a worker timeout; under a
+    deadline alone, a row reaching a query that the record's deadline
+    cut short runs its flow again until its own deadline (only a node
+    limit lets the cut-short ticks settle it), so the record would add
+    serial work without shortening the rows whose ladders time out. *)
+
+val wavefront_record :
+  ?timeout:float -> ?node_budget:int -> ?samples:int -> Cdag.t ->
+  Wavefront.record
+(** The wavefront ladder's min-cut record for [g], as a row's ladder
+    would leave it: the exact rung, then the sampled rung if the exact
+    one fails, each under a fresh budget of [timeout] seconds and/or
+    [node_budget] ticks, exactly as {!row} gives its rungs.  Runs
+    outside any row: no rung span, no [budget.ticks].  With neither
+    limit every query completes and is recorded.  Neither S nor p
+    enters it, so one record serves every row of the graph. *)
 
 val degraded_row :
   ?p:int -> Cdag.t -> s:int -> engine:string -> failure:failure ->

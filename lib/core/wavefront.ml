@@ -208,15 +208,21 @@ let lower_bound ?(samples = 64) ?rng g ~s =
 (* ------------------------------------------------------------------ *)
 (* The fallback ladder's shared min-cut queries                        *)
 
+(* One stripped graph's query records: [value.(x)] is [x]'s min cut, or
+   [-1] while no query of [x] has completed; [ticks.(x)] is what the
+   completed query spent, or — for a query cut short — what it spent
+   before it raised, a lower bound on its cost (0: never asked). *)
+type memo = { value : int array; ticks : int array }
+
+type record = { r_inputs : memo; r_io : memo }
+
 (* One stripped graph of a ladder: its split network, prepared on first
-   need and shared by both rungs, and the record of every query that
-   completed under a budget — its value ([-1]: none) and its ticks. *)
+   need and shared by both rungs, and its query records. *)
 type part = {
   graph : Cdag.t;
   credit : int;
   prepared : Vertex_cut.prepared Lazy.t;
-  value : int array;
-  ticks : int array;
+  memo : memo;
 }
 
 type ladder = {
@@ -227,37 +233,73 @@ type ladder = {
 
 let sampler_seed = 0x5eed
 
-let ladder ?(samples = 64) g =
-  let part (graph, credit) =
+(* The vertex counts of [strip g]'s two graphs, without building them. *)
+let stripped_sizes g =
+  Cdag.fold_vertices g
+    (fun (n_inputs, n_io) v ->
+      if Cdag.is_input g v then (n_inputs, n_io)
+      else if Cdag.is_output g v then (n_inputs + 1, n_io)
+      else (n_inputs + 1, n_io + 1))
+    (0, 0)
+
+let record_fits r g =
+  stripped_sizes g = (Array.length r.r_inputs.value, Array.length r.r_io.value)
+
+let copy_memo m = { value = Array.copy m.value; ticks = Array.copy m.ticks }
+
+let ladder ?(samples = 64) ?record g =
+  (match record with
+  | Some r when not (record_fits r g) ->
+      invalid_arg "Wavefront.ladder: the record does not fit the graph"
+  | _ -> ());
+  let part (graph, credit) seed =
     let n = Cdag.n_vertices graph in
     {
       graph;
       credit;
       prepared = lazy (Vertex_cut.prepare graph);
-      value = Array.make n (-1);
-      ticks = Array.make n 0;
+      memo =
+        (match seed with
+        | Some m -> copy_memo m
+        | None -> { value = Array.make n (-1); ticks = Array.make n 0 });
     }
   in
   let inputs, io = strip g in
-  { samples; inputs = part inputs; io = part io }
+  {
+    samples;
+    inputs = part inputs (Option.map (fun r -> r.r_inputs) record);
+    io = part io (Option.map (fun r -> r.r_io) record);
+  }
+
+let record l = { r_inputs = copy_memo l.inputs.memo; r_io = copy_memo l.io.memo }
 
 (* A recorded vertex re-charges its ticks instead of re-running the
-   flow; a query cut short records nothing. *)
+   flow.  A vertex whose query was cut short after [k] ticks costs at
+   least [k], so a budget that [k] ticks would spend exhausts through
+   the same replay; with more budget left the flow runs. *)
 let query ?budget part x =
-  let recorded = part.value.(x) in
+  let m = part.memo in
+  let recorded = m.value.(x) in
   if recorded >= 0 then begin
-    Option.iter (fun b -> Budget.replay b part.ticks.(x)) budget;
+    Option.iter (fun b -> Budget.replay b m.ticks.(x)) budget;
     recorded
   end
   else
     match budget with
     | None -> cut_of part.graph part.prepared x
-    | Some b ->
+    | Some b when Budget.spends_limit_within b m.ticks.(x) ->
+        Budget.replay b m.ticks.(x);
+        assert false (* the replay raises *)
+    | Some b -> (
         let before = Budget.spent b in
-        let w = cut_of ~budget:b part.graph part.prepared x in
-        part.value.(x) <- w;
-        part.ticks.(x) <- Budget.spent b - before;
-        w
+        match cut_of ~budget:b part.graph part.prepared x with
+        | w ->
+            m.value.(x) <- w;
+            m.ticks.(x) <- Budget.spent b - before;
+            w
+        | exception (Budget.Exhausted _ as e) ->
+            m.ticks.(x) <- max m.ticks.(x) (Budget.spent b - before);
+            raise e)
 
 (* The vertices the sampled rung draws when none of its queries is cut
    short: one generator across both stripped graphs, inputs-dropped
@@ -306,3 +348,40 @@ let sampled_rung ?budget l ~s =
   let w_inputs = sample l.inputs in
   let w_io = sample l.io in
   combine ~s (w_inputs, l.inputs.credit) (w_io, l.io.credit)
+
+(* Only the asked vertices travel: [[x, value, ticks], ...] per
+   stripped graph, beside its vertex count. *)
+let record_to_json r =
+  let module J = Dmc_util.Json in
+  let memo m =
+    let entries = ref [] in
+    for x = Array.length m.value - 1 downto 0 do
+      if m.value.(x) >= 0 || m.ticks.(x) > 0 then
+        entries := J.List [ J.Int x; J.Int m.value.(x); J.Int m.ticks.(x) ] :: !entries
+    done;
+    J.Obj [ ("n", J.Int (Array.length m.value)); ("queries", J.List !entries) ]
+  in
+  J.Obj [ ("inputs", memo r.r_inputs); ("io", memo r.r_io) ]
+
+let record_of_json json =
+  let module J = Dmc_util.Json in
+  let memo field =
+    let get key = Option.bind (J.mem json field) (fun o -> J.mem o key) in
+    match (Option.bind (get "n") J.as_int, Option.bind (get "queries") J.as_list) with
+    | Some n, Some entries when n >= 0 ->
+        let m = { value = Array.make n (-1); ticks = Array.make n 0 } in
+        let entry e =
+          match Option.map (List.map J.as_int) (J.as_list e) with
+          | Some [ Some x; Some value; Some ticks ]
+            when x >= 0 && x < n && value >= -1 && ticks >= 0 ->
+              m.value.(x) <- value;
+              m.ticks.(x) <- ticks;
+              true
+          | _ -> false
+        in
+        if List.for_all entry entries then Ok m
+        else Error (Printf.sprintf "record: bad %s query entry" field)
+    | _ -> Error (Printf.sprintf "record: %s needs a count n and a query list" field)
+  in
+  Result.bind (memo "inputs") (fun r_inputs ->
+      Result.map (fun r_io -> { r_inputs; r_io }) (memo "io"))

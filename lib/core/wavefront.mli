@@ -135,12 +135,17 @@ val exact_threshold : int
     - {b one network per stripped graph}: the graph is stripped once
       (inputs dropped; inputs and outputs dropped) and each stripped
       graph keeps its prepared split network;
-    - {b records}: every query that completes under a budget records
-      its value and the ticks it spent;
+    - {b records}: every query asked under a budget records the ticks
+      it spent, and its value when it completed.  A query cut short
+      keeps the ticks it ran before it raised: a lower bound on its
+      cost;
     - {b replay}: a recorded vertex asked again does not run the flow —
       its ticks are re-charged with [Budget.replay], which raises
       exactly where that many single ticks would, and the recorded
-      value is returned.  A query cut short records nothing.
+      value is returned.  A vertex cut short after [k] ticks, asked
+      again with at most [k] node ticks left, exhausts through the
+      same replay: its flow could not have finished either.  With more
+      budget left its flow runs.
 
     Each query's ticks are a function of the graph and the vertex alone
     (the prepared network restores to the same base network every
@@ -153,15 +158,45 @@ val exact_threshold : int
     exact rung exhausts, the sampled rung is almost all replay.  What
     does change is how many flows run: the [wavefront.mincut_calls],
     [wavefront.cut_size] and [dinic.*] observations count only the
-    queries actually flowed. *)
+    queries actually flowed.
+
+    The same argument carries records across ladders: a {!record} is a
+    pure memo of (stripped graph, vertex) → (value, ticks), valid at
+    any S, p, budget and sample count.  A ladder seeded with one
+    answers every rung exactly as a fresh ladder would, value and
+    [Budget.spent] alike, and flows only the queries the record cannot
+    settle. *)
 
 type ladder
 (** One graph's stripped graphs, their prepared networks and query
     records.  Mutable: one rung at a time. *)
 
-val ladder : ?samples:int -> Cdag.t -> ladder
+type record
+(** An exported copy of a ladder's query records: per stripped graph
+    and vertex, the min cut of every completed query and the ticks of
+    every query asked.  Plain data: comparable with [=]. *)
+
+val ladder : ?samples:int -> ?record:record -> Cdag.t -> ladder
 (** Strip the graph (Corollary 2's two variants).  [samples]
-    (default 64) is the sampled rung's draw count per stripped graph. *)
+    (default 64) is the sampled rung's draw count per stripped graph.
+    [record] seeds the ladder's query records with a copy of its own.
+    Raises [Invalid_argument] when it does not {!record_fits} [g]. *)
+
+val record : ladder -> record
+(** A copy of the ladder's query records, as they stand. *)
+
+val record_fits : record -> Cdag.t -> bool
+(** The record's per-stripped-graph lengths are the vertex counts of
+    [g]'s two stripped graphs. *)
+
+val record_to_json : record -> Dmc_util.Json.t
+(** [{"inputs": {"n": N, "queries": [[x, value, ticks], ...]}, "io":
+    ...}], listing only the vertices asked ([value] [-1]: cut
+    short). *)
+
+val record_of_json : Dmc_util.Json.t -> (record, string) result
+(** The inverse of {!record_to_json}; [Error] on a missing count or
+    query list, or an entry out of range. *)
 
 val exact_rung : ?budget:Budget.t -> ladder -> s:int -> int
 (** The {!lower_bound} formula with the exact max min-wavefront of both

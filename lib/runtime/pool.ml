@@ -197,6 +197,7 @@ type 'a t = {
   mutable retries_total : int;
   started : float;
   mutable last_progress : float;
+  chunk : Bytes.t;  (* every pipe read lands here first *)
 }
 
 let flush_parent_output () =
@@ -629,6 +630,7 @@ let create ?(ordered = true) ?(hosts = []) ?encode (cfg : config) ~worker
     retries_total = 0;
     started = Budget.now ();
     last_progress = neg_infinity;
+    chunk = Bytes.create 65536;
   }
 
 let submit t payload =
@@ -1040,11 +1042,10 @@ let step ?(max_wait = 0.2) t =
   List.iter
     (fun slot ->
       if List.memq slot.fd readable then begin
-        let chunk = Bytes.create 65536 in
-        match Unix.read slot.fd chunk 0 65536 with
+        match Unix.read slot.fd t.chunk 0 (Bytes.length t.chunk) with
         | 0 -> end_output slot
         | k ->
-            Buffer.add_subbytes slot.buf chunk 0 k;
+            Buffer.add_subbytes slot.buf t.chunk 0 k;
             Host.touch slot.shost ~now:(Budget.now ());
             consume_frames slot
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -1108,11 +1109,10 @@ let step ?(max_wait = 0.2) t =
             (* Reaped but EOF not yet seen: consume the remainder now —
                the write side is closed, so this terminates. *)
             let rec drain () =
-              let chunk = Bytes.create 65536 in
-              match Unix.read slot.fd chunk 0 65536 with
+              match Unix.read slot.fd t.chunk 0 (Bytes.length t.chunk) with
               | 0 -> ()
               | k ->
-                  Buffer.add_subbytes slot.buf chunk 0 k;
+                  Buffer.add_subbytes slot.buf t.chunk 0 k;
                   drain ()
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
             in

@@ -32,7 +32,7 @@ let of_spec ~engine ~s ~timeout ~node_budget ~samples spec =
 
 let of_job (j : Dmc_core.Engine_job.t) =
   let graph =
-    match Dmc_cdag.Serialize.of_string j.graph with
+    match Lazy.force j.cdag with
     | Ok g -> Dmc_cdag.Serialize.to_string g
     | Error _ -> j.graph
   in

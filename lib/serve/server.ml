@@ -313,13 +313,16 @@ let serve cfg =
           ~worker:(fun _ job -> Engine_job.run job)
           ~on_commit ()
       in
-      let resolve_graph = function
-        | Protocol.Graph g -> Ok g
-        | Protocol.Spec spec -> (
-            match Dmc_gen.Workload.parse spec with
-            | Ok g -> Ok (Dmc_cdag.Serialize.to_string g)
-            | Error msg ->
-                Error (Budget.Invalid_input ("bad workload spec: " ^ msg)))
+      (* A spec's graph is built only on a miss.  Either way the worker
+         runs on the graph the daemon parsed or built, not on a
+         re-parse of its text. *)
+      let spec_job (q : Protocol.query) spec =
+        match Dmc_gen.Workload.parse spec with
+        | Ok g ->
+            Ok
+              (Engine_job.make ?timeout:q.timeout ?node_budget:q.node_budget
+                 ~samples:q.samples g ~s:q.s ~engine:q.engine)
+        | Error msg -> Error (Budget.Invalid_input ("bad workload spec: " ^ msg))
       in
       let handle_request c req =
         Counter.incr c_request;
@@ -340,27 +343,34 @@ let serve cfg =
             begin_drain ()
         | Protocol.Query q -> (
             if !draining then send_reply c (Protocol.Rejected Protocol.Draining)
+            else if Dmc_core.Bounds.engine_reads_p q.engine then
+              (* the wire query has no p: it would be answered at p = 1
+                 whatever the caller meant *)
+              send_reply c
+                (Protocol.Failed
+                   (Budget.Invalid_input
+                      (Printf.sprintf
+                         "%s reads the processor count p, and a serve query \
+                          has no p: use dmc bounds -p or dmc sweep -p"
+                         q.engine)))
             else begin
               (* spec-sourced queries are keyed by the spec string, so
                  the cache is consulted before any graph is built;
                  inline graphs keep their canonicalized-graph keys *)
-              let key =
+              let key, job =
                 match q.source with
                 | Protocol.Spec spec ->
-                    Cache_key.of_spec ~engine:q.engine ~s:q.s
-                      ~timeout:q.timeout ~node_budget:q.node_budget
-                      ~samples:q.samples spec
+                    ( Cache_key.of_spec ~engine:q.engine ~s:q.s
+                        ~timeout:q.timeout ~node_budget:q.node_budget
+                        ~samples:q.samples spec,
+                      lazy (spec_job q spec) )
                 | Protocol.Graph graph ->
-                    Cache_key.of_job
-                      {
-                        Engine_job.engine = q.engine;
-                        graph;
-                        s = q.s;
-                        p = 1;
-                        timeout = q.timeout;
-                        node_budget = q.node_budget;
-                        samples = q.samples;
-                      }
+                    let job =
+                      Engine_job.of_text ?timeout:q.timeout
+                        ?node_budget:q.node_budget ~samples:q.samples graph
+                        ~s:q.s ~engine:q.engine
+                    in
+                    (Cache_key.of_job job, Lazy.from_val (Ok job))
               in
               let lookup_t0 = Registry.now_us () in
               let found = Result_cache.find cache key in
@@ -373,20 +383,9 @@ let serve cfg =
               match found with
               | Some row -> send_reply c (Protocol.Result { cached = true; row })
               | None -> (
-                  match resolve_graph q.source with
+                  match Lazy.force job with
                   | Error f -> send_reply c (Protocol.Failed f)
-                  | Ok graph ->
-                      let job =
-                        {
-                          Engine_job.engine = q.engine;
-                          graph;
-                          s = q.s;
-                          p = 1;
-                          timeout = q.timeout;
-                          node_budget = q.node_budget;
-                          samples = q.samples;
-                        }
-                      in
+                  | Ok job ->
                       if Pool.unfinished pool >= cfg.max_inflight then begin
                         Counter.incr c_reject_overloaded;
                         send_reply c (Protocol.Rejected Protocol.Overloaded)

@@ -84,10 +84,19 @@ let subset a b =
   in
   go 0
 
+(* Byte by byte, and within a byte only up to its highest set bit.  The
+   byte is re-read for every bit, so members that [f] adds ahead of the
+   walk are visited and members it removes ahead of it are not, as a
+   bit-by-bit walk would; a byte is only skipped while no [f] runs. *)
 let iter f s =
-  for i = 0 to s.cap - 1 do
-    if Char.code (Bytes.unsafe_get s.words (i lsr 3)) land (1 lsl (i land 7)) <> 0
-    then f i
+  let words = s.words in
+  for k = 0 to Bytes.length words - 1 do
+    let j = ref 0 in
+    while !j < 8 && Char.code (Bytes.unsafe_get words k) lsr !j <> 0 do
+      if Char.code (Bytes.unsafe_get words k) land (1 lsl !j) <> 0 then
+        f ((k lsl 3) lor !j);
+      incr j
+    done
   done
 
 let fold f s init =

@@ -153,6 +153,8 @@ let headroom b =
   let poll = clock_period - 1 - (b.ticks mod clock_period) in
   max 0 (if b.nodes_left = max_int then poll else min poll (b.nodes_left - 1))
 
+let spends_limit_within b k = k > 0 && b.nodes_left <> max_int && b.nodes_left <= k
+
 let spent b = b.ticks
 
 let elapsed b = now () -. b.started

@@ -110,6 +110,12 @@ val headroom : t -> int
     Charge whatever is still pending when the loop ends, normally or
     by exception, with {!replay} too. *)
 
+val spends_limit_within : t -> int -> bool
+(** [spends_limit_within b k]: [b] has a node limit and [k] single
+    {!tick}s would reach it, so [replay b k] raises (on the node limit,
+    or at an earlier clock poll).  For work whose cost is known to be
+    at least [k] ticks: it cannot finish on this guard. *)
+
 val check : t -> failure option
 (** Non-raising probe of the same conditions (checks the clock
     unconditionally). *)

@@ -422,6 +422,7 @@ let budget_levels g ~samples ~s =
   | _ -> assert false
 
 let shared_rungs_match g =
+  let complete = Bounds.wavefront_record g in
   List.for_all
     (fun samples ->
       List.for_all
@@ -432,7 +433,17 @@ let shared_rungs_match g =
               = run_rungs (ref_rungs ~samples g) ~nodes ~s
               (* a fresh ladder's sampled rung alone, with no records *)
               && run_rungs (List.tl (Bounds.wavefront_rungs ~samples g)) ~nodes ~s
-                 = run_rungs (List.tl (ref_rungs ~samples g)) ~nodes ~s)
+                 = run_rungs (List.tl (ref_rungs ~samples g)) ~nodes ~s
+              (* a ladder seeded with every query's record, or with the
+                 records (cut-short ones too) of about half this budget *)
+              && List.for_all
+                   (fun record ->
+                     run_rungs (Bounds.wavefront_rungs ~samples ~record g) ~nodes ~s
+                     = run_rungs (ref_rungs ~samples g) ~nodes ~s)
+                   [
+                     complete;
+                     Bounds.wavefront_record ~node_budget:((nodes / 2) + 1) ~samples g;
+                   ])
             (budget_levels g ~samples ~s))
         [ 1; 3 ])
     [ 4; 16; 64 ]

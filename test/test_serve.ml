@@ -22,15 +22,7 @@ let diamond = Dmc_gen.Workload.parse_exn "diamond:4,4"
 
 let job ?(engine = "wavefront") ?(s = 4) ?timeout ?node_budget ?(samples = 64)
     graph =
-  {
-    Dmc_core.Engine_job.engine;
-    graph;
-    s;
-    p = 1;
-    timeout;
-    node_budget;
-    samples;
-  }
+  Dmc_core.Engine_job.of_text ?timeout ?node_budget ~samples graph ~s ~engine
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
@@ -473,6 +465,40 @@ let test_server_typed_errors () =
   | _ -> Alcotest.fail "daemon should still answer");
   shutdown_server socket pid
 
+(* The wire query has no p: an engine that reads p must be refused, not
+   answered at p = 1, and before any cache lookup or compute. *)
+let test_server_refuses_p_engines () =
+  let socket = temp_sock () in
+  let pid = fork_server ~socket () in
+  let graph = Dmc_cdag.Serialize.to_string diamond in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun source ->
+          match rpc socket (Protocol.query source ~engine ~s:4) with
+          | Protocol.Failed (Budget.Invalid_input msg) ->
+              let needle = "has no p" in
+              let nm = String.length msg and nn = String.length needle in
+              let rec has i = i + nn <= nm && (String.sub msg i nn = needle || has (i + 1)) in
+              check_bool (engine ^ ": the reply says the query has no p") true (has 0)
+          | _ -> Alcotest.failf "%s should fail as invalid-input" engine)
+        [ Protocol.Spec "chain:6"; Protocol.Graph graph ])
+    [ "mp-comm-lb"; "mp-comm-ub"; "mp-time-lb"; "mp-time-ub" ];
+  (* a p-blind engine of the same table still answers *)
+  (match rpc socket (Protocol.query (Protocol.Spec "chain:6") ~engine:"pc-io-ub" ~s:4) with
+  | Protocol.Result { cached = false; _ } -> ()
+  | _ -> Alcotest.fail "pc-io-ub reads no p and should be answered");
+  (match rpc socket Protocol.Stats with
+  | Protocol.Stats_snapshot stats ->
+      let counter name =
+        Option.bind (Json.mem stats "counters") (fun c ->
+            Option.bind (Json.mem c name) Json.as_int)
+      in
+      check_bool "only the p-blind query computed" true
+        (counter "serve.compute" = Some 1)
+  | _ -> Alcotest.fail "stats");
+  shutdown_server socket pid
+
 let test_server_overload () =
   let socket = temp_sock () in
   (* one admission slot, and the first query's worker hangs until its
@@ -589,6 +615,8 @@ let () =
           Alcotest.test_case "metrics exposition" `Quick test_server_metrics;
           Alcotest.test_case "typed errors, daemon survives" `Quick
             test_server_typed_errors;
+          Alcotest.test_case "p-reading engines refused" `Quick
+            test_server_refuses_p_engines;
           Alcotest.test_case "bounded admission" `Quick test_server_overload;
           Alcotest.test_case "sigterm drain" `Quick test_server_sigterm_drain;
           Alcotest.test_case "kill -9, warm restart" `Quick

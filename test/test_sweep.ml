@@ -652,15 +652,23 @@ let test_remote_obs_counters_match_local () =
      work, so they are stripped before the comparison. *)
   if not (Sys.file_exists dmc_exe) then
     Alcotest.fail ("worker binary missing: " ^ dmc_exe);
+  (* Under a node budget the ladder-reading rows carry their workload's
+     wavefront record: to fork workers in memory, to command hosts as
+     JSON.  The jobs, and so the records, are built before the registry
+     is reset: only the workers' counters are compared. *)
   let grid =
     fail_result
       (Sweep.make
          ~specs:[ "jacobi1d:{n},3" ]
-         ~sizes:[ 6; 8 ] ~ss:[ 4 ]
-         ~engines:[ "floor"; "lru" ]
-         ())
+         ~sizes:[ 6; 8 ] ~ss:[ 4 ] ~ps:[ 1; 2 ]
+         ~engines:[ "floor"; "lru"; "wavefront"; "partition-h"; "mp-comm-lb" ]
+         ~node_budget:300 ())
   in
   let rows = Sweep.rows grid in
+  check_bool "ladder-reading jobs carry a record" true
+    (List.exists
+       (fun r -> (fail_result (Sweep.job grid r)).Dmc_core.Engine_job.record <> None)
+       rows);
   let counters_with hosts =
     let pool_jobs = List.map (fun r -> fail_result (Sweep.job grid r)) rows in
     Dmc_obs.Registry.reset ();
@@ -715,6 +723,65 @@ let test_remote_obs_counters_match_local () =
   check_str "merged work counters are byte-identical across transports"
     (strip_run_shape local_table)
     (strip_run_shape remote_table)
+
+(* A record is trusted coordinator data, but its shape is checked: one
+   taken from another graph is refused before any engine runs, and one
+   that fits gives the unseeded row.  A grid computes one only under a
+   node budget and with an engine whose first rung reads the ladder;
+   then only the rows that read the ladder carry it. *)
+let test_engine_job_record () =
+  let carried ?node_budget engines =
+    let grid =
+      fail_result (Sweep.make ~specs:[ "chain:8" ] ~ss:[ 4 ] ~engines ?node_budget ())
+    in
+    List.filter_map
+      (fun r ->
+        if (fail_result (Sweep.job grid r)).Dmc_core.Engine_job.record <> None then
+          Some r.Sweep.engine
+        else None)
+      (Sweep.rows grid)
+  in
+  Alcotest.(check (list string)) "fallback engines alone: no record" []
+    (carried ~node_budget:400 [ "partition-h"; "optimal" ]);
+  Alcotest.(check (list string)) "no node budget: no record" []
+    (carried [ "wavefront"; "partition-h" ]);
+  Alcotest.(check (list string)) "with a first-rung reader: the ladder's rows"
+    [ "partition-h"; "wavefront" ]
+    (carried ~node_budget:400 [ "partition-h"; "wavefront"; "lru" ]);
+  let g = Dmc_gen.Workload.parse_exn "daggen:3,30,50,40,2" in
+  let record = Dmc_core.Bounds.wavefront_record ~node_budget:400 g in
+  let row job =
+    match Dmc_core.Engine_job.run job with
+    | Ok payload -> (
+        match Dmc_core.Bounds.row_of_json payload with
+        | Some r -> (r.value, r.rung, r.attempts)
+        | None -> Alcotest.fail "unparseable row")
+    | Error f -> Alcotest.failf "row failed: %s" (Dmc_util.Budget.failure_to_string f)
+  in
+  List.iter
+    (fun engine ->
+      let job = Dmc_core.Engine_job.make ~node_budget:400 g ~s:4 ~engine in
+      check_bool (engine ^ ": seeded row = derived row") true
+        (row { job with record = Some record } = row job);
+      match Dmc_core.Engine_job.(of_json (to_json { job with record = Some record })) with
+      | Ok j -> check_bool (engine ^ ": record survives JSON") true (j.record = Some record)
+      | Error e -> Alcotest.fail e)
+    [ "wavefront"; "partition-h"; "mp-comm-lb" ];
+  let foreign = Dmc_core.Bounds.wavefront_record (Dmc_gen.Shapes.chain 7) in
+  List.iter
+    (fun job ->
+      match Dmc_core.Engine_job.run job with
+      | Error (Dmc_util.Budget.Invalid_input _) -> ()
+      | Error f -> Alcotest.failf "wrong failure: %s" (Dmc_util.Budget.failure_to_string f)
+      | Ok _ -> Alcotest.fail "a record of the wrong lengths was accepted")
+    [
+      Dmc_core.Engine_job.make ~record:foreign ~node_budget:400 g ~s:4 ~engine:"wavefront";
+      (* through the worker's JSON too *)
+      fail_result
+        (Dmc_core.Engine_job.of_json
+           (Dmc_core.Engine_job.to_json
+              (Dmc_core.Engine_job.make ~record:foreign g ~s:4 ~engine:"floor")));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* S or P below 1: the grid, the job and every [dmc bounds] mode reject it *)
@@ -851,6 +918,8 @@ let () =
         [
           Alcotest.test_case "engine job rejects S = 0" `Quick
             test_engine_job_rejects_s0;
+          Alcotest.test_case "engine job record: replayed, checked" `Quick
+            test_engine_job_record;
           Alcotest.test_case "every bounds mode rejects S = 0" `Quick
             test_bounds_cli_rejects_s0;
           Alcotest.test_case "bounds rejects P = 0" `Quick

@@ -89,6 +89,38 @@ let prop_bitset_demorgan =
       Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
       = Bitset.cardinal a + Bitset.cardinal b)
 
+(* The bit-by-bit walk [Bitset.iter] replaced: every visit, in order,
+   must be the same, even when the callback adds or removes members
+   ahead of or behind the walk. *)
+let bit_by_bit_iter f s =
+  for i = 0 to Bitset.capacity s - 1 do
+    if Bitset.mem s i then f i
+  done
+
+let prop_bitset_iter_bit_by_bit =
+  QCheck.Test.make ~name:"iter visits what a bit-by-bit walk visits" ~count:300
+    QCheck.(
+      triple (int_bound 150) (list small_nat)
+        (list (triple small_nat bool small_nat)))
+    (fun (cap, members, edits) ->
+      let cap = cap + 1 in
+      let walk iter =
+        let s = Bitset.of_list cap (List.map (fun i -> i mod cap) members) in
+        let visits = ref [] in
+        iter
+          (fun i ->
+            visits := i :: !visits;
+            (* the edits keyed by the visited member: add or remove *)
+            List.iter
+              (fun (at, add, target) ->
+                if at mod cap = i then
+                  (if add then Bitset.add else Bitset.remove) s (target mod cap))
+              edits)
+          s;
+        (List.rev !visits, Bitset.elements s)
+      in
+      walk Bitset.iter = walk bit_by_bit_iter)
+
 (* ------------------------------------------------------------------ *)
 (* Intvec                                                              *)
 
@@ -383,7 +415,8 @@ let () =
           Alcotest.test_case "set operations" `Quick test_bitset_setops;
           Alcotest.test_case "choose and fold" `Quick test_bitset_choose_fold;
         ] );
-      qsuite "bitset-props" [ prop_bitset_model; prop_bitset_demorgan ];
+      qsuite "bitset-props"
+        [ prop_bitset_model; prop_bitset_demorgan; prop_bitset_iter_bit_by_bit ];
       ( "intvec",
         [
           Alcotest.test_case "push/pop/get/set" `Quick test_intvec_basic;
