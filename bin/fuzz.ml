@@ -3,7 +3,8 @@
    Generates random CDAGs across several families and, for each,
    cross-checks every engine against every other:
 
-     1. every lower bound <= the exhaustive RBW optimum (small graphs);
+     1. every lower bound <= the exhaustive RBW optimum (small graphs),
+        which the governed optimal row reproduces;
      2. the optimum <= every strategy's measured I/O;
      3. RB optimum <= RBW optimum;
      4. every schedule (Belady, LRU, DFS order) replays cleanly;
@@ -32,6 +33,12 @@
         unseeded row's value, rung, failed rungs and budget ticks, at
         two values of S (and of p, for engines that read it); every
         record round-trips through the engine-job JSON.
+    14. the multi-processor and partial-computation schedules replay:
+        under both policies, every mp schedule at p = 1, 2, 4 plays in
+        the mp game with the I/O mp_io reports, and at p = 1 maps move
+        for move onto the sequential schedule; every pc schedule plays
+        in the pc game with the I/O pc_io reports; the p = 2 no-reuse
+        game plays too.
 
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
@@ -105,32 +112,31 @@ let one_case rng g ~s =
       (List.filter (fun v -> Cdag.out_degree g v = 0) (Cdag.inputs g))
   in
   require "floor <= wavefront consistency" (report.best_lb >= report.io_floor);
+
+  (* governed analysis: always completes and stays sound *)
+  let module B = Dmc_core.Bounds in
+  let gov = B.analyze_governed g ~s in
+  require "governed lb sound" (gov.B.gov_best_lb <= belady);
+  require "governed lb >= floor" (gov.B.gov_best_lb >= report.io_floor);
+  (match gov.B.gov_best_ub with
+  | Some ub -> require "governed ub >= lb" (ub >= gov.B.gov_best_lb)
+  | None -> raise (Violation "governed ub missing for feasible S"));
   (if n <= 14 then
+     (* The governed ladder must agree with the raising engine: its
+        optimal row ran the same unbudgeted search. *)
+     let row = List.find (fun (r : B.row) -> r.engine = "optimal") gov.B.gov_rows in
      match Dmc_core.Optimal.rbw_io g ~s with
      | opt ->
          require "lb <= optimal" (report.best_lb <= opt);
          require "optimal <= belady" (opt <= belady);
          require "optimal <= lru" (opt <= lru);
          require "optimal <= dfs" (opt <= dfs);
-         (* The governed ladder must agree with the raising engines. *)
-         (match Dmc_core.Bounds.Engine.rbw_io g ~s with
-         | Ok opt' -> require "engine rbw = rbw" (opt' = opt)
-         | Error e ->
-             raise
-               (Violation
-                  ("engine rbw errored: " ^ Dmc_util.Budget.failure_to_string e)));
+         require "governed optimal row = rbw"
+           (row.rung = "exact" && row.value = Some opt);
          if n <= 12 && Dmc_cdag.Validate.is_hong_kung g then
            require "rb <= rbw" (Dmc_core.Optimal.rb_io g ~s <= opt)
-     | exception Dmc_core.Optimal.Too_large _ -> ());
-
-  (* governed analysis: always completes and stays sound *)
-  let gov = Dmc_core.Bounds.analyze_governed g ~s in
-  require "governed lb sound" (gov.Dmc_core.Bounds.gov_best_lb <= belady);
-  require "governed lb >= floor"
-    (gov.Dmc_core.Bounds.gov_best_lb >= report.io_floor);
-  (match gov.Dmc_core.Bounds.gov_best_ub with
-  | Some ub -> require "governed ub >= lb" (ub >= gov.Dmc_core.Bounds.gov_best_lb)
-  | None -> raise (Violation "governed ub missing for feasible S"));
+     | exception Dmc_core.Optimal.Too_large _ ->
+         require "governed optimal row not exact when too large" (row.rung <> "exact"));
 
   (* 5: Theorem-1 partition of the Belady game *)
   let moves = Strategy.schedule g ~s in
@@ -210,7 +216,6 @@ let one_case rng g ~s =
 
   (* 12: the mp/pc rows, driven by the engine table; draws nothing
      from [rng] *)
-  let module B = Dmc_core.Bounds in
   let value (r : B.row) =
     match r.value with
     | Some v -> v
@@ -307,6 +312,49 @@ let one_case rng g ~s =
               (if B.reads_p e.quantity then [ 1; 2 ] else [ 1 ]))
           [ s; 2 * s ])
     B.engines;
+
+  (* 14: the mp and pc schedules replay with the I/O their io
+     functions report; draws nothing from [rng] *)
+  let module Mp = Dmc_core.Mp_game in
+  let module Pc = Dmc_core.Pc_game in
+  let module Rb = Dmc_core.Rb_game in
+  let on_proc0 = function
+    | Mp.Load { proc = 0; v } -> Rb.Load v
+    | Mp.Store { proc = 0; v } -> Rb.Store v
+    | Mp.Compute { proc = 0; v } -> Rb.Compute v
+    | Mp.Delete { proc = 0; v } -> Rb.Delete v
+    | m ->
+        raise (Violation (Format.asprintf "mp p=1 move off processor 0: %a" Mp.pp_move m))
+  in
+  let mp_replays label ~p moves ~io =
+    match Mp.run g ~p ~s moves with
+    | Ok st -> require (label ^ ": replayed io") (st.Mp.io = io)
+    | Error e ->
+        raise (Violation (Printf.sprintf "%s: step %d: %s" label e.Mp.step e.Mp.reason))
+  in
+  List.iter
+    (fun (name, policy) ->
+      List.iter
+        (fun p ->
+          let label = Printf.sprintf "mp %s p=%d" name p in
+          let moves = Strategy.mp_schedule ~policy g ~p ~s in
+          mp_replays label ~p moves ~io:(Strategy.mp_io ~policy g ~p ~s);
+          if p = 1 then
+            require (label ^ " = sequential schedule")
+              (List.map on_proc0 moves = Strategy.schedule ~policy g ~s))
+        [ 1; 2; 4 ];
+      if s >= 2 then
+        match Pc.run g ~s (Strategy.pc_schedule ~policy g ~s) with
+        | Ok st ->
+            require ("pc " ^ name ^ ": replayed io")
+              (st.Pc.io = Strategy.pc_io ~policy g ~s)
+        | Error e ->
+            raise
+              (Violation
+                 (Printf.sprintf "pc %s: step %d: %s" name e.Pc.step e.Pc.reason)))
+    [ ("belady", Strategy.Belady); ("lru", Strategy.Lru) ];
+  mp_replays "mp trivial p=2" ~p:2 (Strategy.mp_trivial g ~p:2)
+    ~io:(Strategy.mp_trivial_io g);
   n
 
 (* ------------------------------------------------------------------ *)

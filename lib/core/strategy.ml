@@ -9,6 +9,8 @@ type policy = Lru | Belady
 let c_belady_evict = Dmc_obs.Counter.make "strategy.evictions.belady"
 let c_lru_evict = Dmc_obs.Counter.make "strategy.evictions.lru"
 let h_evict_distance = Dmc_obs.Histogram.make "strategy.evict_distance"
+let c_mp_remote = Dmc_obs.Counter.make "strategy.mp.remote_stores"
+let c_pc_absorbs = Dmc_obs.Counter.make "strategy.pc.absorbs"
 
 let default_order g =
   Topo.order g |> Array.to_list
@@ -30,7 +32,10 @@ let dfs_order g =
   Cdag.iter_vertices g (fun v -> if not (Cdag.is_input g v) then visit v);
   Dmc_util.Intvec.to_array order
 
-let check_order g order =
+(* [order] (default: {!default_order}) once checked to be a topological
+   permutation of the non-input vertices. *)
+let resolve_order g order =
+  let order = match order with Some o -> o | None -> default_order g in
   let n = Cdag.n_vertices g in
   let pos = Array.make n (-1) in
   if Array.length order <> Cdag.n_compute g then
@@ -45,196 +50,364 @@ let check_order g order =
   Cdag.iter_edges g (fun u v ->
       if pos.(u) >= 0 && pos.(v) >= 0 && pos.(u) >= pos.(v) then
         invalid_arg "Strategy: order is not topological");
-  pos
+  order
 
-(* Positions (ascending) at which each vertex is consumed as an
-   operand. *)
-let use_positions g order =
+(* ------------------------------------------------------------------ *)
+(* The walk and the victim rule every policy scheduler shares          *)
+
+(* One pass over the compute order: the ascending positions at which
+   each value is consumed, a cursor past the uses already served, each
+   value's last touch (for LRU), the values the vertex in flight pins,
+   and the position [pos] of that vertex. *)
+type walk = {
+  order : Cdag.vertex array;
+  uses : int array array;
+  cursor : int array;
+  last_use : int array;
+  pinned : Bitset.t;
+  mutable clock : int;
+  mutable pos : int;
+}
+
+let no_use = max_int
+
+let walk g order =
+  let order = resolve_order g order in
   let n = Cdag.n_vertices g in
   let uses = Array.make n [] in
   Array.iteri
     (fun i v -> Cdag.iter_pred g v (fun p -> uses.(p) <- i :: uses.(p)))
     order;
-  Array.map (fun l -> Array.of_list (List.rev l)) uses
+  {
+    order;
+    uses = Array.map (fun l -> Array.of_list (List.rev l)) uses;
+    cursor = Array.make n 0;
+    last_use = Array.make n 0;
+    pinned = Bitset.create n;
+    clock = 0;
+    pos = 0;
+  }
 
-let no_use = max_int
+let next_use w v =
+  let u = w.uses.(v) and c = w.cursor.(v) in
+  if c < Array.length u then u.(c) else no_use
 
-let schedule ?budget ?(policy = Belady) ?order g ~s =
-  if s <= 0 then invalid_arg "Strategy.schedule: s must be positive";
-  Dmc_obs.Span.with_
-    ~attrs:
-      [
-        ("policy", (match policy with Belady -> "belady" | Lru -> "lru"));
-        ("s", string_of_int s);
-      ]
-    "strategy.schedule"
-  @@ fun () ->
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
-  let n = Cdag.n_vertices g in
-  let uses = use_positions g order in
-  let cursor = Array.make n 0 in
-  let next_use v =
-    let u = uses.(v) in
-    if cursor.(v) < Array.length u then u.(cursor.(v)) else no_use
-  in
-  let red = Bitset.create n and blue = Bitset.create n in
-  List.iter (Bitset.add blue) (Cdag.inputs g);
-  let loaded = Bitset.create n in
-  let pinned = Bitset.create n in
-  let last_use = Array.make n 0 in
-  let clock = ref 0 in
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let store_if_needed v ~future =
-    if (future || Cdag.is_output g v) && not (Bitset.mem blue v) then begin
-      emit (Rb_game.Store v);
-      Bitset.add blue v
-    end
-  in
-  let evict_one () =
-    let best = ref (-1) and best_score = ref min_int in
-    Bitset.iter
-      (fun v ->
-        if not (Bitset.mem pinned v) then begin
-          let score =
-            match policy with
-            | Belady ->
-                let nu = next_use v in
-                (* Prefer furthest next use; among dead values prefer
-                   those that do not need a store. *)
-                if nu = no_use then
-                  if Bitset.mem blue v || not (Cdag.is_output g v) then max_int
-                  else max_int - 1
-                else nu
-            | Lru -> - last_use.(v)
-          in
-          if score > !best_score then begin
-            best_score := score;
-            best := v
-          end
-        end)
-      red;
-    if !best < 0 then failwith "Strategy.schedule: S too small for the operand set";
-    let v = !best in
-    Dmc_obs.Counter.incr
-      (match policy with Belady -> c_belady_evict | Lru -> c_lru_evict);
-    (* How far ahead the evicted value's next use lies — dead values
-       (no next use) are not observed, so the distribution reflects
-       only evictions that will force a reload. *)
-    (let nu = next_use v in
-     if nu <> no_use then
-       Dmc_obs.Histogram.observe h_evict_distance (nu - !clock));
-    store_if_needed v ~future:(next_use v <> no_use);
-    emit (Rb_game.Delete v);
-    Bitset.remove red v
-  in
-  let make_room () = while Bitset.cardinal red >= s do evict_one () done in
-  let bring_in v =
-    if not (Bitset.mem red v) then begin
-      make_room ();
-      if not (Bitset.mem blue v) then
-        Budget.internal_error ~where:"Strategy.schedule"
-          "operand %d lost (n=%d, s=%d, clock=%d)" v n s !clock;
-      emit (Rb_game.Load v);
-      Bitset.add red v;
-      Bitset.add loaded v
-    end;
-    incr clock;
-    last_use.(v) <- !clock
-  in
-  let release v =
-    (* Drop a value as soon as its last consumer has fired. *)
-    if Bitset.mem red v && next_use v = no_use then begin
-      store_if_needed v ~future:false;
-      emit (Rb_game.Delete v);
-      Bitset.remove red v
-    end
-  in
+let touch w v =
+  w.clock <- w.clock + 1;
+  w.last_use.(v) <- w.clock
+
+(* Fire the order: [fire i v preds] plays the vertex at position [i],
+   then every operand's cursor moves past [i] and [release i v preds]
+   drops what died.  [budget] is ticked once per fired vertex. *)
+let run_walk ?budget g w ~fire ~release =
   Array.iteri
     (fun i v ->
       (match budget with None -> () | Some b -> Budget.tick b);
+      w.pos <- i;
       let preds = Cdag.pred_list g v in
-      (* Pin operands already resident, then fault the rest in. *)
-      List.iter (fun p -> if Bitset.mem red p then Bitset.add pinned p) preds;
+      fire i v preds;
       List.iter
         (fun p ->
-          bring_in p;
-          Bitset.add pinned p)
-        preds;
-      make_room ();
-      emit (Rb_game.Compute v);
-      Bitset.add red v;
-      incr clock;
-      last_use.(v) <- !clock;
-      List.iter (fun p -> Bitset.remove pinned p) preds;
-      (* Advance the use cursors past position [i]. *)
-      List.iter
-        (fun p ->
-          let u = uses.(p) in
-          while cursor.(p) < Array.length u && u.(cursor.(p)) <= i do
-            cursor.(p) <- cursor.(p) + 1
+          let u = w.uses.(p) in
+          while w.cursor.(p) < Array.length u && u.(w.cursor.(p)) <= i do
+            w.cursor.(p) <- w.cursor.(p) + 1
           done)
         preds;
-      List.iter release preds;
-      release v)
-    order;
-  (* Outputs still resident must reach slow memory; untouched inputs
-     must still be whitened by one load each. *)
+      release i v preds)
+    w.order
+
+(* The unpinned resident of [set] with the highest score: under Belady
+   the furthest next use, a dead value scoring [dead v]; under LRU the
+   oldest touch.  [-1] when every resident is pinned. *)
+let victim w policy ~dead set =
+  let best = ref (-1) and best_score = ref min_int in
+  Bitset.iter
+    (fun v ->
+      if not (Bitset.mem w.pinned v) then begin
+        let score =
+          match policy with
+          | Belady ->
+              let nu = next_use w v in
+              if nu = no_use then dead v else nu
+          | Lru -> -w.last_use.(v)
+        in
+        if score > !best_score then begin
+          best_score := score;
+          best := v
+        end
+      end)
+    set;
+  !best
+
+(* ------------------------------------------------------------------ *)
+(* The p-processor policy cache                                        *)
+
+(* How a game spells the cache's data moves; single-processor games
+   ignore the processor. *)
+type 'm spelling = {
+  load : int -> Cdag.vertex -> 'm;
+  store : int -> Cdag.vertex -> 'm;
+  delete : int -> Cdag.vertex -> 'm;
+}
+
+let rb =
+  {
+    load = (fun _ v -> Rb_game.Load v);
+    store = (fun _ v -> Rb_game.Store v);
+    delete = (fun _ v -> Rb_game.Delete v);
+  }
+
+let mp =
+  {
+    load = (fun proc v -> Mp_game.Load { proc; v });
+    store = (fun proc v -> Mp_game.Store { proc; v });
+    delete = (fun proc v -> Mp_game.Delete { proc; v });
+  }
+
+let pc =
+  {
+    load = (fun _ v -> Pc_game.Load v);
+    store = (fun _ v -> Pc_game.Store v);
+    delete = (fun _ v -> Pc_game.Delete v);
+  }
+
+(* [p] private [s]-word fast memories over one slow memory.  Operands
+   are loaded on demand; policy-chosen victims still live (or outputs
+   not yet blue) are stored before deletion; dead values are dropped as
+   soon as their last consumer fires; a value needed on a processor
+   other than its producer is published through slow memory.  Only the
+   firing processor evicts, so one pinned set serves them all. *)
+type 'm cache = {
+  g : Cdag.t;
+  s : int;
+  policy : policy;
+  name : string;  (* the scheduler, for span and failure texts *)
+  sequential : bool;  (* only the sequential game feeds the eviction metrics *)
+  spell : 'm spelling;
+  w : walk;
+  red : Bitset.t array;
+  blue : Bitset.t;
+  loaded : Bitset.t;
+  dead : Cdag.vertex -> int;
+  mutable moves : 'm list;
+  mutable io : int;
+}
+
+let emit c m = c.moves <- m :: c.moves
+
+let store c q v =
+  emit c (c.spell.store q v);
+  c.io <- c.io + 1;
+  Bitset.add c.blue v
+
+let load c q v =
+  emit c (c.spell.load q v);
+  c.io <- c.io + 1;
+  Bitset.add c.red.(q) v;
+  Bitset.add c.loaded v
+
+(* Remove [v] from [q], storing it first when it is [live] or an output
+   slow memory lacks. *)
+let drop c q v ~live =
+  if (live || Cdag.is_output c.g v) && not (Bitset.mem c.blue v) then store c q v;
+  emit c (c.spell.delete q v);
+  Bitset.remove c.red.(q) v
+
+let evict c q =
+  let v = victim c.w c.policy ~dead:c.dead c.red.(q) in
+  if v < 0 then failwith ("Strategy." ^ c.name ^ ": S too small for the operand set");
+  let nu = next_use c.w v in
+  if c.sequential then begin
+    Dmc_obs.Counter.incr
+      (match c.policy with Belady -> c_belady_evict | Lru -> c_lru_evict);
+    (* Compute steps until the victim is needed again; dead victims are
+       not observed, so the distribution covers only evictions that
+       force a reload. *)
+    if nu <> no_use then Dmc_obs.Histogram.observe h_evict_distance (nu - c.w.pos)
+  end;
+  drop c q v ~live:(nu <> no_use)
+
+let make_room c q = while Bitset.cardinal c.red.(q) >= c.s do evict c q done
+
+(* The first processor holding [v] red. *)
+let holder c what v =
+  let p = Array.length c.red in
+  let rec go r =
+    if r = p then
+      Budget.internal_error ~where:("Strategy." ^ c.name)
+        "%s %d lost (n=%d, p=%d, s=%d, clock=%d)" what v (Cdag.n_vertices c.g) p c.s
+        c.w.clock
+    else if Bitset.mem c.red.(r) v then r
+    else go (r + 1)
+  in
+  go 0
+
+(* Bring an operand into [q]'s fast memory.  A value neither blue nor
+   resident on [q] still lives red on its producer: that processor
+   publishes it (one store, the communication), then [q] loads it. *)
+let bring_in c q v =
+  if not (Bitset.mem c.red.(q) v) then begin
+    if not (Bitset.mem c.blue v) then begin
+      let r = holder c "operand" v in
+      Dmc_obs.Counter.incr c_mp_remote;
+      store c r v
+    end;
+    make_room c q;
+    load c q v
+  end;
+  touch c.w v
+
+let release c q v =
+  if Bitset.mem c.red.(q) v && next_use c.w v = no_use then drop c q v ~live:false
+
+(* Fire [v] on [q]: pin the operands already resident, fault the rest
+   in, make room for the result. *)
+let compute mk c q v preds =
+  let pinned = c.w.pinned in
+  List.iter (fun u -> if Bitset.mem c.red.(q) u then Bitset.add pinned u) preds;
   List.iter
-    (fun v -> if Bitset.mem red v && not (Bitset.mem blue v) then begin
-         emit (Rb_game.Store v);
-         Bitset.add blue v
-       end)
+    (fun u ->
+      bring_in c q u;
+      Bitset.add pinned u)
+    preds;
+  make_room c q;
+  emit c (mk q v);
+  Bitset.add c.red.(q) v;
+  touch c.w v;
+  List.iter (Bitset.remove pinned) preds
+
+(* The partial-computation firing: [v] is an accumulator that absorbs
+   its operands one at a time, so only it and the operand in flight are
+   pinned and two red pebbles suffice for any in-degree. *)
+let absorb c _ v preds =
+  let pinned = c.w.pinned in
+  make_room c 0;
+  emit c (Pc_game.Begin v);
+  Bitset.add c.red.(0) v;
+  Bitset.add pinned v;
+  List.iter
+    (fun u ->
+      bring_in c 0 u;
+      Bitset.add pinned u;
+      emit c (Pc_game.Absorb { v; pred = u });
+      Dmc_obs.Counter.incr c_pc_absorbs;
+      Bitset.remove pinned u)
+    preds;
+  emit c (Pc_game.Finish v);
+  touch c.w v;
+  Bitset.remove pinned v
+
+(* Play the cache game of scheduler [name] over the order, firing each
+   vertex on processor [i mod p] with [fire]; outputs still resident
+   then reach slow memory and never-used inputs are read once (the
+   white-pebble completion rule). *)
+let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~s
+    ~fire =
+  Dmc_obs.Span.with_
+    ~attrs:(("policy", match policy with Belady -> "belady" | Lru -> "lru") :: attrs)
+    ("strategy." ^ name)
+  @@ fun () ->
+  let n = Cdag.n_vertices g in
+  let blue = Bitset.create n in
+  List.iter (Bitset.add blue) (Cdag.inputs g);
+  let c =
+    {
+      g; s; policy; name; sequential; spell;
+      w = walk g order;
+      red = Array.init p (fun _ -> Bitset.create n);
+      blue;
+      loaded = Bitset.create n;
+      (* among dead values, prefer those that need no store *)
+      dead =
+        (fun v ->
+          if Bitset.mem blue v || not (Cdag.is_output g v) then max_int else max_int - 1);
+      moves = [];
+      io = 0;
+    }
+  in
+  run_walk ?budget g c.w
+    ~fire:(fun i v preds -> fire c (i mod p) v preds)
+    ~release:(fun i v preds ->
+      List.iter (release c (i mod p)) preds;
+      release c (i mod p) v);
+  List.iter
+    (fun v -> if not (Bitset.mem c.blue v) then store c (holder c "output" v) v)
     (Cdag.outputs g);
   List.iter
     (fun v ->
-      if not (Bitset.mem loaded v) && not (Bitset.mem red v) then begin
-        make_room ();
-        emit (Rb_game.Load v);
-        Bitset.add red v;
-        emit (Rb_game.Delete v);
-        Bitset.remove red v
+      if not (Bitset.mem c.loaded v) then begin
+        make_room c 0;
+        load c 0 v;
+        drop c 0 v ~live:false
       end)
     (Cdag.inputs g);
-  List.rev !moves
+  c
 
-let io ?budget ?policy ?order g ~s =
-  List.fold_left
-    (fun acc m ->
-      match (m : Rb_game.move) with
-      | Rb_game.Load _ | Rb_game.Store _ -> acc + 1
-      | Rb_game.Compute _ | Rb_game.Delete _ -> acc)
-    0
-    (schedule ?budget ?policy ?order g ~s)
+let sequential_game ?budget ?policy ?order g ~s =
+  if s <= 0 then invalid_arg "Strategy.schedule: s must be positive";
+  play ?budget ~name:"schedule" ~attrs:[ ("s", string_of_int s) ] ~sequential:true rb
+    ?policy ?order g ~p:1 ~s
+    ~fire:(compute (fun _ v -> Rb_game.Compute v))
 
-let trivial g =
+let schedule ?budget ?policy ?order g ~s =
+  List.rev (sequential_game ?budget ?policy ?order g ~s).moves
+
+let io ?budget ?policy ?order g ~s = (sequential_game ?budget ?policy ?order g ~s).io
+
+let mp_game ?budget ?policy ?order g ~p ~s =
+  if p <= 0 then invalid_arg "Strategy.mp_schedule: p must be positive";
+  if s <= 0 then invalid_arg "Strategy.mp_schedule: s must be positive";
+  play ?budget ~name:"mp_schedule"
+    ~attrs:[ ("p", string_of_int p); ("s", string_of_int s) ]
+    ~sequential:false mp ?policy ?order g ~p ~s
+    ~fire:(compute (fun proc v -> Mp_game.Compute { proc; v }))
+
+let mp_schedule ?budget ?policy ?order g ~p ~s =
+  List.rev (mp_game ?budget ?policy ?order g ~p ~s).moves
+
+let mp_io ?budget ?policy ?order g ~p ~s = (mp_game ?budget ?policy ?order g ~p ~s).io
+
+let pc_game ?budget ?policy ?order g ~s =
+  if s < 2 then invalid_arg "Strategy.pc_schedule: s must be at least 2";
+  play ?budget ~name:"pc_schedule" ~attrs:[ ("s", string_of_int s) ] ~sequential:false
+    pc ?policy ?order g ~p:1 ~s ~fire:absorb
+
+let pc_schedule ?budget ?policy ?order g ~s =
+  List.rev (pc_game ?budget ?policy ?order g ~s).moves
+
+let pc_io ?budget ?policy ?order g ~s = (pc_game ?budget ?policy ?order g ~s).io
+
+(* The no-reuse game: every operand loaded just before each use, every
+   result stored at once, vertices round-robin over [p] processors, and
+   never-used inputs read once at the end. *)
+let trivial_game spell mk g ~p =
   let moves = ref [] in
   let emit m = moves := m :: !moves in
   let used_input = Bitset.create (Cdag.n_vertices g) in
-  Array.iter
-    (fun v ->
-      if not (Cdag.is_input g v) then begin
-        let preds = Cdag.pred_list g v in
-        List.iter
-          (fun p ->
-            emit (Rb_game.Load p);
-            if Cdag.is_input g p then Bitset.add used_input p)
-          preds;
-        emit (Rb_game.Compute v);
-        emit (Rb_game.Store v);
-        List.iter (fun p -> emit (Rb_game.Delete p)) preds;
-        emit (Rb_game.Delete v)
-      end)
-    (Topo.order g);
+  Array.iteri
+    (fun i v ->
+      let q = i mod p in
+      let preds = Cdag.pred_list g v in
+      List.iter
+        (fun u ->
+          emit (spell.load q u);
+          if Cdag.is_input g u then Bitset.add used_input u)
+        preds;
+      emit (mk q v);
+      emit (spell.store q v);
+      List.iter (fun u -> emit (spell.delete q u)) preds;
+      emit (spell.delete q v))
+    (default_order g);
   List.iter
     (fun v ->
       if not (Bitset.mem used_input v) then begin
-        emit (Rb_game.Load v);
-        emit (Rb_game.Delete v)
+        emit (spell.load 0 v);
+        emit (spell.delete 0 v)
       end)
     (Cdag.inputs g);
   List.rev !moves
+
+let trivial g = trivial_game rb (fun _ v -> Rb_game.Compute v) g ~p:1
 
 let trivial_io g =
   let unused_inputs =
@@ -243,6 +416,17 @@ let trivial_io g =
   Cdag.fold_vertices g
     (fun acc v -> if Cdag.is_input g v then acc else acc + Cdag.in_degree g v + 1)
     unused_inputs
+
+let mp_trivial g ~p =
+  if p <= 0 then invalid_arg "Strategy.mp_trivial: p must be positive";
+  trivial_game mp (fun proc v -> Mp_game.Compute { proc; v }) g ~p
+
+(* every operand loaded just before use, every result stored once: the
+   count is independent of the processor assignment. *)
+let mp_trivial_io = trivial_io
+
+(* ------------------------------------------------------------------ *)
+(* The three-level games                                               *)
 
 let hierarchical_hierarchy ~s1 ~s2 =
   Hierarchy.create
@@ -254,48 +438,23 @@ let hierarchical_hierarchy ~s1 ~s2 =
 
 let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
   if s1 <= 0 || s2 <= 0 then invalid_arg "Strategy.hierarchical";
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
+  let w = walk g order in
   let n = Cdag.n_vertices g in
-  let uses = use_positions g order in
-  let cursor = Array.make n 0 in
-  let next_use v =
-    let u = uses.(v) in
-    if cursor.(v) < Array.length u then u.(cursor.(v)) else no_use
-  in
   let regs = Bitset.create n and cache = Bitset.create n in
   let in_memory = Bitset.create n in   (* present at level 3 *)
   let input_read = Bitset.create n in
-  let pinned = Bitset.create n in
-  let last_use = Array.make n 0 in
-  let clock = ref 0 in
   let moves = ref [] in
   let emit m = moves := m :: !moves in
-  let score v =
-    match policy with
-    | Belady -> if next_use v = no_use then max_int else next_use v
-    | Lru -> -last_use.(v)
-  in
   let pick_victim set =
-    let best = ref (-1) and best_score = ref min_int in
-    Bitset.iter
-      (fun v ->
-        if not (Bitset.mem pinned v) then begin
-          let sc = score v in
-          if sc > !best_score then begin
-            best_score := sc;
-            best := v
-          end
-        end)
-      set;
-    if !best < 0 then failwith "Strategy.hierarchical: capacities too small";
-    !best
+    let v = victim w policy ~dead:(fun _ -> max_int) set in
+    if v < 0 then failwith "Strategy.hierarchical: capacities too small";
+    v
   in
+  let live v = next_use w v <> no_use || Cdag.is_output g v in
   (* Evict one cache entry; live values retreat to memory. *)
   let evict_cache () =
     let v = pick_victim cache in
-    if (next_use v <> no_use || Cdag.is_output g v) && not (Bitset.mem in_memory v)
-    then begin
+    if live v && not (Bitset.mem in_memory v) then begin
       emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
       Bitset.add in_memory v
     end;
@@ -306,9 +465,7 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
   (* Evict one register; live values retreat to the cache. *)
   let evict_regs () =
     let v = pick_victim regs in
-    if (next_use v <> no_use || Cdag.is_output g v) && not (Bitset.mem cache v)
-       && not (Bitset.mem in_memory v)
-    then begin
+    if live v && not (Bitset.mem cache v) && not (Bitset.mem in_memory v) then begin
       cache_room ();
       emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
       Bitset.add cache v
@@ -317,10 +474,6 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
     Bitset.remove regs v
   in
   let regs_room () = while Bitset.cardinal regs >= s1 do evict_regs () done in
-  let touch v =
-    incr clock;
-    last_use.(v) <- !clock
-  in
   (* Bring an operand into the registers, staging through the cache. *)
   let bring_in v =
     if not (Bitset.mem regs v) then begin
@@ -332,46 +485,38 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
         end;
         if not (Bitset.mem in_memory v) then
           Budget.internal_error ~where:"Strategy.hierarchical"
-            "operand %d lost (n=%d, s1=%d, s2=%d, clock=%d)" v n s1 s2 !clock;
+            "operand %d lost (n=%d, s1=%d, s2=%d, clock=%d)" v n s1 s2 w.clock;
         cache_room ();
         emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
         Bitset.add cache v
       end;
-      Bitset.add pinned v;
+      Bitset.add w.pinned v;
       regs_room ();
       emit (Prbw_game.Move_up { level = 1; unit_id = 0; v });
       Bitset.add regs v
     end;
-    Bitset.add pinned v;
-    touch v
+    Bitset.add w.pinned v;
+    touch w v
   in
   let release ~level set v =
-    if Bitset.mem set v && next_use v = no_use && not (Cdag.is_output g v) then begin
+    if Bitset.mem set v && next_use w v = no_use && not (Cdag.is_output g v) then begin
       emit (Prbw_game.Delete { level; unit_id = 0; v });
       Bitset.remove set v
     end
   in
-  Array.iteri
-    (fun i v ->
-      let preds = Cdag.pred_list g v in
-      List.iter (fun p -> if Bitset.mem regs p then Bitset.add pinned p) preds;
+  run_walk g w
+    ~fire:(fun _ v preds ->
+      List.iter (fun p -> if Bitset.mem regs p then Bitset.add w.pinned p) preds;
       List.iter bring_in preds;
       regs_room ();
       emit (Prbw_game.Compute { proc = 0; v });
       Bitset.add regs v;
-      touch v;
-      List.iter (fun p -> Bitset.remove pinned p) preds;
-      List.iter
-        (fun p ->
-          let u = uses.(p) in
-          while cursor.(p) < Array.length u && u.(cursor.(p)) <= i do
-            cursor.(p) <- cursor.(p) + 1
-          done)
-        preds;
+      touch w v;
+      List.iter (Bitset.remove w.pinned) preds)
+    ~release:(fun _ v preds ->
       List.iter (release ~level:1 regs) preds;
       List.iter (release ~level:2 cache) preds;
-      release ~level:1 regs v)
-    order;
+      release ~level:1 regs v);
   (* Outputs must reach the memory level and receive blue pebbles;
      tagged inputs are born blue and need neither. *)
   List.iter
@@ -412,41 +557,16 @@ let smp_hierarchy ~cores ~s1 ~s2 =
 
 let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
   if cores <= 0 || s1 <= 0 || s2 <= 0 then invalid_arg "Strategy.smp_shared";
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
+  let w = walk g order in
   let n = Cdag.n_vertices g in
-  let uses = use_positions g order in
-  let cursor = Array.make n 0 in
-  let next_use v =
-    let u = uses.(v) in
-    if cursor.(v) < Array.length u then u.(cursor.(v)) else no_use
-  in
   let cache = Bitset.create n and in_memory = Bitset.create n in
   let input_read = Bitset.create n in
-  let pinned = Bitset.create n in
-  let last_use = Array.make n 0 in
-  let clock = ref 0 in
   let moves = ref [] in
   let emit m = moves := m :: !moves in
   let evict_cache () =
-    let best = ref (-1) and best_score = ref min_int in
-    Bitset.iter
-      (fun v ->
-        if not (Bitset.mem pinned v) then begin
-          let sc =
-            match policy with
-            | Belady -> if next_use v = no_use then max_int else next_use v
-            | Lru -> -last_use.(v)
-          in
-          if sc > !best_score then begin
-            best_score := sc;
-            best := v
-          end
-        end)
-      cache;
-    if !best < 0 then failwith "Strategy.smp_shared: cache too small";
-    let v = !best in
-    if (next_use v <> no_use || Cdag.is_output g v) && not (Bitset.mem in_memory v)
+    let v = victim w policy ~dead:(fun _ -> max_int) cache in
+    if v < 0 then failwith "Strategy.smp_shared: cache too small";
+    if (next_use w v <> no_use || Cdag.is_output g v) && not (Bitset.mem in_memory v)
     then begin
       emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
       Bitset.add in_memory v
@@ -469,14 +589,12 @@ let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
       emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
       Bitset.add cache v
     end;
-    Bitset.add pinned v;
-    incr clock;
-    last_use.(v) <- !clock
+    Bitset.add w.pinned v;
+    touch w v
   in
-  Array.iteri
-    (fun i v ->
+  run_walk g w
+    ~fire:(fun i v preds ->
       let proc = i mod cores in
-      let preds = Cdag.pred_list g v in
       if List.length preds >= s1 then
         failwith "Strategy.smp_shared: register file too small for the operand set";
       (* stage all operands into the shared cache first (pinned), then
@@ -490,30 +608,22 @@ let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
       cache_room ();
       emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
       Bitset.add cache v;
-      incr clock;
-      last_use.(v) <- !clock;
+      touch w v;
       List.iter
         (fun u -> emit (Prbw_game.Delete { level = 1; unit_id = proc; v = u }))
         preds;
       emit (Prbw_game.Delete { level = 1; unit_id = proc; v });
-      List.iter (fun u -> Bitset.remove pinned u) preds;
-      List.iter
-        (fun u ->
-          let us = uses.(u) in
-          while cursor.(u) < Array.length us && us.(cursor.(u)) <= i do
-            cursor.(u) <- cursor.(u) + 1
-          done)
-        preds;
+      List.iter (Bitset.remove w.pinned) preds)
+    ~release:(fun _ _ preds ->
       (* eagerly drop dead non-outputs from the cache *)
       List.iter
         (fun u ->
-          if Bitset.mem cache u && next_use u = no_use && not (Cdag.is_output g u)
+          if Bitset.mem cache u && next_use w u = no_use && not (Cdag.is_output g u)
           then begin
             emit (Prbw_game.Delete { level = 2; unit_id = 0; v = u });
             Bitset.remove cache u
           end)
-        preds)
-    order;
+        preds);
   (* outputs to memory + blue pebbles; whiten unread inputs *)
   List.iter
     (fun v ->
@@ -537,361 +647,8 @@ let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
     (Cdag.inputs g);
   List.rev !moves
 
-let c_mp_remote = Dmc_obs.Counter.make "strategy.mp.remote_stores"
-let c_pc_absorbs = Dmc_obs.Counter.make "strategy.pc.absorbs"
-
-(* A p-processor execution with private fast memories: vertices are
-   assigned round-robin over the processors in [order]; a value
-   produced on one processor and consumed on another travels through
-   slow memory (store at the producer, load at the consumer), so every
-   communication shows up in the emitted game's I/O count.  Per-
-   processor eviction mirrors [schedule]: policy-driven victims, live
-   victims stored before deletion, dead values dropped eagerly.  At
-   [p = 1] this degenerates move-for-move to [schedule]. *)
-let mp_schedule ?budget ?(policy = Belady) ?order g ~p ~s =
-  if p <= 0 then invalid_arg "Strategy.mp_schedule: p must be positive";
-  if s <= 0 then invalid_arg "Strategy.mp_schedule: s must be positive";
-  Dmc_obs.Span.with_
-    ~attrs:
-      [
-        ("policy", (match policy with Belady -> "belady" | Lru -> "lru"));
-        ("p", string_of_int p);
-        ("s", string_of_int s);
-      ]
-    "strategy.mp_schedule"
-  @@ fun () ->
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
-  let n = Cdag.n_vertices g in
-  let uses = use_positions g order in
-  let cursor = Array.make n 0 in
-  let next_use v =
-    let u = uses.(v) in
-    if cursor.(v) < Array.length u then u.(cursor.(v)) else no_use
-  in
-  let red = Array.init p (fun _ -> Bitset.create n) in
-  let blue = Bitset.create n in
-  List.iter (Bitset.add blue) (Cdag.inputs g);
-  let loaded = Bitset.create n in
-  (* Only the firing processor evicts during its turn, so one pinned
-     set suffices across all processors. *)
-  let pinned = Bitset.create n in
-  let last_use = Array.make n 0 in
-  let clock = ref 0 in
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let store_if_needed q v ~future =
-    if (future || Cdag.is_output g v) && not (Bitset.mem blue v) then begin
-      emit (Mp_game.Store { proc = q; v });
-      Bitset.add blue v
-    end
-  in
-  let evict_one q =
-    let best = ref (-1) and best_score = ref min_int in
-    Bitset.iter
-      (fun v ->
-        if not (Bitset.mem pinned v) then begin
-          let score =
-            match policy with
-            | Belady ->
-                let nu = next_use v in
-                if nu = no_use then
-                  if Bitset.mem blue v || not (Cdag.is_output g v) then max_int
-                  else max_int - 1
-                else nu
-            | Lru -> -last_use.(v)
-          in
-          if score > !best_score then begin
-            best_score := score;
-            best := v
-          end
-        end)
-      red.(q);
-    if !best < 0 then
-      failwith "Strategy.mp_schedule: S too small for the operand set";
-    let v = !best in
-    store_if_needed q v ~future:(next_use v <> no_use);
-    emit (Mp_game.Delete { proc = q; v });
-    Bitset.remove red.(q) v
-  in
-  let make_room q = while Bitset.cardinal red.(q) >= s do evict_one q done in
-  (* Bring an operand into processor [q]'s fast memory.  A value that
-     is neither blue nor resident on [q] still lives red on its
-     producer: that processor publishes it (one store — the
-     communication), then [q] loads it. *)
-  let bring_in q v =
-    if not (Bitset.mem red.(q) v) then begin
-      if not (Bitset.mem blue v) then begin
-        let holder = ref (-1) in
-        for r = 0 to p - 1 do
-          if !holder < 0 && Bitset.mem red.(r) v then holder := r
-        done;
-        if !holder < 0 then
-          Budget.internal_error ~where:"Strategy.mp_schedule"
-            "operand %d lost (n=%d, p=%d, s=%d, clock=%d)" v n p s !clock;
-        Dmc_obs.Counter.incr c_mp_remote;
-        emit (Mp_game.Store { proc = !holder; v });
-        Bitset.add blue v
-      end;
-      make_room q;
-      emit (Mp_game.Load { proc = q; v });
-      Bitset.add red.(q) v;
-      Bitset.add loaded v
-    end;
-    incr clock;
-    last_use.(v) <- !clock
-  in
-  let release q v =
-    if Bitset.mem red.(q) v && next_use v = no_use then begin
-      store_if_needed q v ~future:false;
-      emit (Mp_game.Delete { proc = q; v });
-      Bitset.remove red.(q) v
-    end
-  in
-  Array.iteri
-    (fun i v ->
-      (match budget with None -> () | Some b -> Budget.tick b);
-      let q = i mod p in
-      let preds = Cdag.pred_list g v in
-      List.iter (fun u -> if Bitset.mem red.(q) u then Bitset.add pinned u) preds;
-      List.iter
-        (fun u ->
-          bring_in q u;
-          Bitset.add pinned u)
-        preds;
-      make_room q;
-      emit (Mp_game.Compute { proc = q; v });
-      Bitset.add red.(q) v;
-      incr clock;
-      last_use.(v) <- !clock;
-      List.iter (fun u -> Bitset.remove pinned u) preds;
-      List.iter
-        (fun u ->
-          let us = uses.(u) in
-          while cursor.(u) < Array.length us && us.(cursor.(u)) <= i do
-            cursor.(u) <- cursor.(u) + 1
-          done)
-        preds;
-      List.iter (release q) preds;
-      release q v)
-    order;
-  (* Outputs still resident somewhere must reach slow memory; untouched
-     inputs must still be read once each (the white-pebble completion
-     convention). *)
-  List.iter
-    (fun v ->
-      if not (Bitset.mem blue v) then begin
-        let holder = ref (-1) in
-        for r = 0 to p - 1 do
-          if !holder < 0 && Bitset.mem red.(r) v then holder := r
-        done;
-        if !holder < 0 then
-          Budget.internal_error ~where:"Strategy.mp_schedule"
-            "output %d lost (n=%d, p=%d, s=%d)" v n p s;
-        emit (Mp_game.Store { proc = !holder; v });
-        Bitset.add blue v
-      end)
-    (Cdag.outputs g);
-  List.iter
-    (fun v ->
-      if not (Bitset.mem loaded v) then begin
-        make_room 0;
-        emit (Mp_game.Load { proc = 0; v });
-        Bitset.add red.(0) v;
-        emit (Mp_game.Delete { proc = 0; v });
-        Bitset.remove red.(0) v
-      end)
-    (Cdag.inputs g);
-  List.rev !moves
-
-let mp_io ?budget ?policy ?order g ~p ~s =
-  List.fold_left
-    (fun acc m ->
-      match (m : Mp_game.move) with
-      | Mp_game.Load _ | Mp_game.Store _ -> acc + 1
-      | Mp_game.Compute _ | Mp_game.Delete _ -> acc)
-    0
-    (mp_schedule ?budget ?policy ?order g ~p ~s)
-
-let mp_trivial g ~p =
-  if p <= 0 then invalid_arg "Strategy.mp_trivial: p must be positive";
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let used_input = Bitset.create (Cdag.n_vertices g) in
-  let i = ref 0 in
-  Array.iter
-    (fun v ->
-      if not (Cdag.is_input g v) then begin
-        let q = !i mod p in
-        incr i;
-        let preds = Cdag.pred_list g v in
-        List.iter
-          (fun u ->
-            emit (Mp_game.Load { proc = q; v = u });
-            if Cdag.is_input g u then Bitset.add used_input u)
-          preds;
-        emit (Mp_game.Compute { proc = q; v });
-        emit (Mp_game.Store { proc = q; v });
-        List.iter (fun u -> emit (Mp_game.Delete { proc = q; v = u })) preds;
-        emit (Mp_game.Delete { proc = q; v })
-      end)
-    (Topo.order g);
-  List.iter
-    (fun v ->
-      if not (Bitset.mem used_input v) then begin
-        emit (Mp_game.Load { proc = 0; v });
-        emit (Mp_game.Delete { proc = 0; v })
-      end)
-    (Cdag.inputs g);
-  List.rev !moves
-
-let mp_trivial_io = trivial_io
-(* every operand loaded just before use, every result stored once:
-   the count is independent of the processor assignment. *)
-
-(* The partial-computation schedule: each vertex is an accumulator
-   that absorbs its operands one at a time, so only the accumulator
-   and the operand in flight are ever pinned — two red pebbles
-   suffice for any in-degree.  Operand residency is managed by the
-   same policy-driven cache as [schedule]. *)
-let pc_schedule ?budget ?(policy = Belady) ?order g ~s =
-  if s < 2 then invalid_arg "Strategy.pc_schedule: s must be at least 2";
-  Dmc_obs.Span.with_
-    ~attrs:
-      [
-        ("policy", (match policy with Belady -> "belady" | Lru -> "lru"));
-        ("s", string_of_int s);
-      ]
-    "strategy.pc_schedule"
-  @@ fun () ->
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
-  let n = Cdag.n_vertices g in
-  let uses = use_positions g order in
-  let cursor = Array.make n 0 in
-  let next_use v =
-    let u = uses.(v) in
-    if cursor.(v) < Array.length u then u.(cursor.(v)) else no_use
-  in
-  let red = Bitset.create n and blue = Bitset.create n in
-  List.iter (Bitset.add blue) (Cdag.inputs g);
-  let loaded = Bitset.create n in
-  let pinned = Bitset.create n in
-  let last_use = Array.make n 0 in
-  let clock = ref 0 in
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let store_if_needed v ~future =
-    if (future || Cdag.is_output g v) && not (Bitset.mem blue v) then begin
-      emit (Pc_game.Store v);
-      Bitset.add blue v
-    end
-  in
-  let evict_one () =
-    let best = ref (-1) and best_score = ref min_int in
-    Bitset.iter
-      (fun v ->
-        if not (Bitset.mem pinned v) then begin
-          let score =
-            match policy with
-            | Belady ->
-                let nu = next_use v in
-                if nu = no_use then
-                  if Bitset.mem blue v || not (Cdag.is_output g v) then max_int
-                  else max_int - 1
-                else nu
-            | Lru -> -last_use.(v)
-          in
-          if score > !best_score then begin
-            best_score := score;
-            best := v
-          end
-        end)
-      red;
-    if !best < 0 then failwith "Strategy.pc_schedule: S too small";
-    let v = !best in
-    store_if_needed v ~future:(next_use v <> no_use);
-    emit (Pc_game.Delete v);
-    Bitset.remove red v
-  in
-  let make_room () = while Bitset.cardinal red >= s do evict_one () done in
-  let bring_in v =
-    if not (Bitset.mem red v) then begin
-      make_room ();
-      if not (Bitset.mem blue v) then
-        Budget.internal_error ~where:"Strategy.pc_schedule"
-          "operand %d lost (n=%d, s=%d, clock=%d)" v n s !clock;
-      emit (Pc_game.Load v);
-      Bitset.add red v;
-      Bitset.add loaded v
-    end;
-    incr clock;
-    last_use.(v) <- !clock
-  in
-  let release v =
-    if Bitset.mem red v && next_use v = no_use then begin
-      store_if_needed v ~future:false;
-      emit (Pc_game.Delete v);
-      Bitset.remove red v
-    end
-  in
-  Array.iteri
-    (fun i v ->
-      (match budget with None -> () | Some b -> Budget.tick b);
-      make_room ();
-      emit (Pc_game.Begin v);
-      Bitset.add red v;
-      Bitset.add pinned v;
-      let preds = Cdag.pred_list g v in
-      List.iter
-        (fun u ->
-          bring_in u;
-          Bitset.add pinned u;
-          emit (Pc_game.Absorb { v; pred = u });
-          Dmc_obs.Counter.incr c_pc_absorbs;
-          Bitset.remove pinned u)
-        preds;
-      emit (Pc_game.Finish v);
-      incr clock;
-      last_use.(v) <- !clock;
-      Bitset.remove pinned v;
-      List.iter
-        (fun u ->
-          let us = uses.(u) in
-          while cursor.(u) < Array.length us && us.(cursor.(u)) <= i do
-            cursor.(u) <- cursor.(u) + 1
-          done)
-        preds;
-      List.iter release preds;
-      release v)
-    order;
-  List.iter
-    (fun v ->
-      if Bitset.mem red v && not (Bitset.mem blue v) then begin
-        emit (Pc_game.Store v);
-        Bitset.add blue v
-      end)
-    (Cdag.outputs g);
-  List.iter
-    (fun v ->
-      if not (Bitset.mem loaded v) then begin
-        make_room ();
-        emit (Pc_game.Load v);
-        Bitset.add red v;
-        emit (Pc_game.Delete v);
-        Bitset.remove red v
-      end)
-    (Cdag.inputs g);
-  List.rev !moves
-
-let pc_io ?budget ?policy ?order g ~s =
-  List.fold_left
-    (fun acc m ->
-      match (m : Pc_game.move) with
-      | Pc_game.Load _ | Pc_game.Store _ -> acc + 1
-      | _ -> acc)
-    0
-    (pc_schedule ?budget ?policy ?order g ~s)
+(* ------------------------------------------------------------------ *)
+(* SPMD                                                                 *)
 
 let spmd g hier ~owner ?order () =
   if Hierarchy.n_levels hier <> 2 then
@@ -899,8 +656,7 @@ let spmd g hier ~owner ?order () =
   let procs = Hierarchy.processors hier in
   if Hierarchy.count hier ~level:2 <> procs then
     invalid_arg "Strategy.spmd: need one level-2 memory per processor";
-  let order = match order with Some o -> o | None -> default_order g in
-  ignore (check_order g order);
+  let order = resolve_order g order in
   let n = Cdag.n_vertices g in
   let owner_of v =
     let p = owner v in

@@ -10,7 +10,22 @@ module Hierarchy := Dmc_machine.Hierarchy
     it.  Each function here produces a move list that the corresponding
     game engine accepts (the tests replay every schedule through
     {!Rbw_game.run} / {!Prbw_game.run}), so the reported I/O counts are
-    certified upper bounds on the optimum. *)
+    certified upper bounds on the optimum.
+
+    The five policy schedulers are layered on two shared pieces: one
+    walk over the compute order (each value's use positions, a cursor
+    giving its next use, its last touch for LRU, the pinned operands
+    of the vertex in flight) and one victim rule (the unpinned resident
+    with the furthest next use under Belady, the oldest touch under
+    LRU).  On these sits one p-processor policy cache: private fast
+    memories over one slow memory, operands loaded on demand, live
+    victims stored before eviction, dead values dropped eagerly,
+    cross-processor values published through slow memory.  Its p = 1
+    game is {!schedule}, its p-processor game is {!mp_schedule}, and
+    its accumulator game is {!pc_schedule}; each game only spells the
+    moves.  {!hierarchical} and {!smp_shared} use the walk and victim
+    rule for their register and cache levels.  {!trivial} and
+    {!mp_trivial} are one no-reuse game, at p = 1 and round-robin. *)
 
 val default_order : Cdag.t -> Cdag.vertex array
 (** The deterministic topological order of the non-input vertices

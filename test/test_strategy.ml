@@ -247,6 +247,119 @@ let prop_spmd_valid_random_owner =
       | Ok _ -> true
       | Error _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Eviction reuse distance                                             *)
+
+(* [strategy.evict_distance] observes, for each sequential eviction of a
+   value still needed, how many compute steps lie between the vertex
+   being fired and the victim's next use. *)
+let test_evict_distance () =
+  let module Registry = Dmc_obs.Registry in
+  let h = Dmc_obs.Histogram.make "strategy.evict_distance" in
+  let g = Dmc_gen.Fft.butterfly 3 in
+  let was = Registry.is_enabled () in
+  Registry.reset ();
+  Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Registry.set_enabled was) (fun () ->
+      ignore (Strategy.schedule g ~s:4 : Rbw.move list));
+  check "observations" 25 (Dmc_obs.Histogram.count h);
+  check "sum of compute steps to the next use" 100 (Dmc_obs.Histogram.sum h);
+  Registry.reset ()
+
+(* ------------------------------------------------------------------ *)
+(* Schedules golden                                                    *)
+
+(* golden/schedules.txt pins every policy scheduler's games: one line
+   per (spec, S, scheduler, policy, p or cores/S2), holding the I/O, the
+   move count and the MD5 of the moves printed with the game's
+   [pp_move], or the failure text. *)
+
+let golden_specs =
+  [
+    "cg:4,2,2"; "gmres:4,2,2"; "multigrid:17,2,1"; "daggen:3,30,50,30,2";
+    "jacobi1d:8,4"; "fft:4"; "tree:16"; "chain:6"; "diamond:3,4"; "matmul:2";
+    "outer:3";
+  ]
+
+let game_line key pp ~io run =
+  match run () with
+  | moves ->
+      let b = Buffer.create 4096 in
+      let ppf = Format.formatter_of_buffer b in
+      List.iter (Format.fprintf ppf "%a@\n" pp) moves;
+      Format.pp_print_flush ppf ();
+      Printf.sprintf "%s io=%d moves=%d %s" key (io moves) (List.length moves)
+        (Digest.to_hex (Digest.string (Buffer.contents b)))
+  | exception (Failure m | Invalid_argument m) -> Printf.sprintf "%s failed: %s" key m
+
+let schedule_lines spec =
+  let module Mp = Dmc_core.Mp_game in
+  let module Pc = Dmc_core.Pc_game in
+  let g = Dmc_gen.Workload.parse_exn spec in
+  let d = Cdag.fold_vertices g (fun acc v -> max acc (Cdag.in_degree g v)) 0 in
+  let ss = List.sort_uniq compare [ max 1 d; d + 1; d + 2; d + 5; Cdag.n_vertices g ] in
+  let prbw_io =
+    List.fold_left
+      (fun acc m ->
+        match (m : Prbw.move) with Prbw.Compute _ | Prbw.Delete _ -> acc | _ -> acc + 1)
+      0
+  in
+  let per_s s =
+    List.concat_map
+      (fun (pname, policy) ->
+        let key sched param =
+          Printf.sprintf "%s S=%d %s %s %s" spec s sched pname param
+        in
+        let rb sched ?order () =
+          game_line (key sched "-") Dmc_core.Rb_game.pp_move
+            ~io:(fun _ -> Strategy.io ~policy ?order g ~s)
+            (fun () -> Strategy.schedule ~policy ?order g ~s)
+        in
+        [ rb "schedule" (); rb "schedule-dfs" ~order:(Strategy.dfs_order g) () ]
+        @ List.map
+            (fun p ->
+              game_line
+                (key "mp_schedule" (Printf.sprintf "p=%d" p))
+                Mp.pp_move
+                ~io:(fun _ -> Strategy.mp_io ~policy g ~p ~s)
+                (fun () -> Strategy.mp_schedule ~policy g ~p ~s))
+            [ 1; 2; 4 ]
+        @ [
+            game_line (key "pc_schedule" "-") Pc.pp_move
+              ~io:(fun _ -> Strategy.pc_io ~policy g ~s)
+              (fun () -> Strategy.pc_schedule ~policy g ~s);
+            game_line
+              (key "hierarchical" (Printf.sprintf "s2=%d" (s + 2)))
+              Prbw.pp_move ~io:prbw_io
+              (fun () -> Strategy.hierarchical ~policy g ~s1:s ~s2:(s + 2));
+            game_line
+              (key "smp_shared" (Printf.sprintf "cores=2,s2=%d" ((2 * s) + 2)))
+              Prbw.pp_move ~io:prbw_io
+              (fun () -> Strategy.smp_shared ~policy g ~cores:2 ~s1:s ~s2:((2 * s) + 2));
+          ])
+      [ ("belady", Strategy.Belady); ("lru", Strategy.Lru) ]
+  in
+  List.concat_map per_s ss
+  @ [
+      game_line (spec ^ " trivial - -") Dmc_core.Rb_game.pp_move
+        ~io:(fun _ -> Strategy.trivial_io g)
+        (fun () -> Strategy.trivial g);
+      game_line (spec ^ " mp_trivial - p=2") Dmc_core.Mp_game.pp_move
+        ~io:(fun _ -> Strategy.mp_trivial_io g)
+        (fun () -> Strategy.mp_trivial g ~p:2);
+    ]
+
+let test_schedules_golden () =
+  let want =
+    In_channel.with_open_bin (Filename.concat "golden" "schedules.txt")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = List.concat_map schedule_lines golden_specs in
+  check "golden lines" (List.length want) (List.length got);
+  List.iter2 (Alcotest.(check string) "schedule line") want got
+
 let qsuite name tests =
   (* fixed qcheck seed so runs are reproducible *)
   ( name,
@@ -265,7 +378,10 @@ let () =
           Alcotest.test_case "custom order" `Quick test_schedule_custom_order;
           Alcotest.test_case "rejects bad orders" `Quick test_schedule_rejects_bad_orders;
           Alcotest.test_case "S too small" `Quick test_schedule_s_too_small;
+          Alcotest.test_case "eviction reuse distance" `Quick test_evict_distance;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "schedules" `Quick test_schedules_golden ] );
       ( "trivial",
         [
           Alcotest.test_case "matches formula" `Quick test_trivial_matches_formula;
