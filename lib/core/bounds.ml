@@ -435,9 +435,9 @@ let engines =
           [
             ( "belady",
               fun b ->
-                replay_makespan c
-                  (Strategy.mp_schedule ?budget:b ~policy:Strategy.Belady c.g
-                     ~p:c.p ~s:c.s) );
+                (Strategy.mp_stats ?budget:b ~policy:Strategy.Belady c.g ~p:c.p
+                   ~s:c.s)
+                  .makespan );
             trivial_rung ~fits:(operands_fit c) ~msg:mp_trivial_msg (fun () ->
                 replay_makespan c (Strategy.mp_trivial c.g ~p:c.p));
           ]) };

@@ -13,8 +13,9 @@ module Cdag := Dmc_cdag.Cdag
     forbidden under the strict rules: each vertex fires exactly once,
     on exactly one processor.
 
-    The engine replays a proposed move sequence, rejecting the first
-    illegal move, and checks the completion condition: a blue pebble
+    The engine replays a proposed move sequence ({!start}, one
+    {!step} per move, {!finish}), rejecting the first illegal move,
+    and checks the completion condition: a blue pebble
     on every output and every input loaded at least once by some
     processor (the white-pebble convention of {!Rbw_game}, which keeps
     {!Bounds.io_floor} a sound lower bound).  Beyond the counters it
@@ -49,22 +50,32 @@ type stats = {
           waiting for their value's store to complete *)
 }
 
-type error = {
+type error = Rb_game.error = {
   step : int;
       (** 0-based index of the offending move, or the move-list length
           for a completion failure *)
   reason : string;
 }
 
+type checker = (move, stats) Rb_game.checker
+(** A game in progress: every processor's red pebbles, the blue and
+    computed sets, the clocks, and the first illegal move, if any. *)
+
+val start : g_cost:int -> Cdag.t -> p:int -> s:int -> checker
+(** The initial state: a blue pebble on each tagged input and every
+    fast memory empty.  [g_cost] is the time per I/O move.  Raises
+    [Invalid_argument] when [p <= 0], [s <= 0] or [g_cost < 0]. *)
+
+val step : checker -> move -> unit
+(** Play one move; the first illegal move is remembered and every
+    later one ignored. *)
+
+val finish : checker -> (stats, error) result
+(** The first illegal move, or else the completion check (a blue
+    pebble on every output, every input loaded by some processor) and
+    the game's counters and makespan. *)
+
 val run :
   ?g_cost:int -> Cdag.t -> p:int -> s:int -> move list -> (stats, error) result
-(** Play a complete game.  The initial state has a blue pebble on each
-    tagged input and every fast memory empty.  [g_cost] (default 1) is
-    the time per I/O move.  Raises [Invalid_argument] when [p <= 0],
-    [s <= 0] or [g_cost < 0]. *)
-
-val validate : ?g_cost:int -> Cdag.t -> p:int -> s:int -> move list -> error option
-(** [None] when {!run} succeeds. *)
-
-val io_of : ?g_cost:int -> Cdag.t -> p:int -> s:int -> move list -> int
-(** I/O count of a valid game; raises [Failure] on an invalid one. *)
+(** Play a complete game: {!start} ([g_cost] defaults to 1), {!step}
+    on each move, {!finish}. *)

@@ -26,136 +26,121 @@ type stats = {
   max_red : int;
 }
 
-type error = { step : int; reason : string }
+type error = Rb_game.error = { step : int; reason : string }
 
-let run g ~s moves =
-  if s <= 0 then invalid_arg "Pc_game.run: s must be positive";
+type checker = (move, stats) Rb_game.checker
+
+let illegal = Rb_game.illegal
+
+(* The position of [pred] among [v]'s predecessors, or [-1]. *)
+let slot g v pred =
+  let i = ref 0 and found = ref (-1) in
+  Cdag.iter_pred g v (fun u ->
+      if u = pred then found := !i;
+      incr i);
+  !found
+
+let start g ~s =
+  if s <= 0 then invalid_arg "Pc_game.start: s must be positive";
   let n = Cdag.n_vertices g in
   let red = Bitset.create n and blue = Bitset.create n in
   List.iter (Bitset.add blue) (Cdag.inputs g);
   (* A red pebble is either a complete value (a loaded input, a loaded
      stored value, or a finished vertex) or an in-progress accumulator
      (begun, some predecessors absorbed).  Only complete values may be
-     stored or absorbed by successors. *)
+     stored or absorbed by successors.  An open accumulator keeps its
+     absorbed predecessors by their position among its predecessors. *)
   let begun = Bitset.create n in
   let finished = Bitset.create n in
   let input_read = Bitset.create n in
-  let absorbed = Array.make n None in
-  let absorbed_count = Array.make n 0 in
+  let idle = Bitset.create 0 in
+  let absorbed = Array.make n idle in
   let loads = ref 0 and stores = ref 0 and finishes = ref 0 and absorbs = ref 0 in
   let max_red = ref 0 in
-  let exception Fail of error in
-  let fail step fmt = Format.kasprintf (fun reason -> raise (Fail { step; reason })) fmt in
-  let check_vertex step v =
-    if v < 0 || v >= n then fail step "vertex %d out of range" v
-  in
-  let complete v = Cdag.is_input g v || Bitset.mem finished v in
-  let place step v =
+  let is_complete v = Cdag.is_input g v || Bitset.mem finished v in
+  let in_progress v = Bitset.mem begun v && not (Bitset.mem finished v) in
+  let place v =
     if not (Bitset.mem red v) then begin
-      if Bitset.cardinal red >= s then fail step "no free red pebble (S = %d)" s;
+      if Bitset.cardinal red >= s then illegal "no free red pebble (S = %d)" s;
       Bitset.add red v;
       if Bitset.cardinal red > !max_red then max_red := Bitset.cardinal red
     end
   in
-  try
-    List.iteri
-      (fun step move ->
-        match move with
-        | Load v ->
-            check_vertex step v;
-            if not (Bitset.mem blue v) then fail step "load %d: no blue pebble" v;
-            if Bitset.mem begun v && not (Bitset.mem finished v) then
-              fail step "load %d: an accumulator for it is in progress" v;
-            place step v;
-            if Cdag.is_input g v then Bitset.add input_read v;
-            incr loads
-        | Store v ->
-            check_vertex step v;
-            if not (Bitset.mem red v) then fail step "store %d: no red pebble" v;
-            if not (complete v) then
-              fail step "store %d: not finished (partial values cannot be stored)" v;
-            Bitset.add blue v;
-            incr stores
-        | Delete v ->
-            check_vertex step v;
-            if not (Bitset.mem red v) then fail step "delete %d: no red pebble" v;
-            Bitset.remove red v;
-            (* Deleting an in-progress accumulator discards its partial
-               sums: the vertex may be begun again from scratch. *)
-            if Bitset.mem begun v && not (Bitset.mem finished v) then begin
-              Bitset.remove begun v;
-              absorbed.(v) <- None;
-              absorbed_count.(v) <- 0
-            end
-        | Begin v ->
-            check_vertex step v;
-            if Cdag.is_input g v then fail step "begin %d: inputs cannot fire" v;
-            if Bitset.mem finished v then
-              fail step "begin %d: already finished (recomputation forbidden)" v;
-            if Bitset.mem begun v then fail step "begin %d: already in progress" v;
-            if Bitset.mem red v then
-              fail step "begin %d: a complete copy is already red" v;
-            place step v;
-            Bitset.add begun v;
-            absorbed.(v) <- Some (Bitset.create n);
-            absorbed_count.(v) <- 0
-        | Absorb { v; pred } ->
-            check_vertex step v;
-            check_vertex step pred;
-            if not (Bitset.mem begun v) || Bitset.mem finished v then
-              fail step "absorb %d <- %d: no accumulator in progress" v pred;
-            if not (Bitset.mem red v) then
-              fail step "absorb %d <- %d: accumulator not red" v pred;
-            if not (Bitset.mem red pred) then
-              fail step "absorb %d <- %d: operand not red" v pred;
-            if not (complete pred) then
-              fail step "absorb %d <- %d: operand not finished" v pred;
-            if not (Cdag.fold_pred g v (fun acc u -> acc || u = pred) false) then
-              fail step "absorb %d <- %d: not a predecessor" v pred;
-            let set = match absorbed.(v) with Some b -> b | None -> assert false in
-            if Bitset.mem set pred then
-              fail step "absorb %d <- %d: already absorbed" v pred;
-            Bitset.add set pred;
-            absorbed_count.(v) <- absorbed_count.(v) + 1;
-            incr absorbs
-        | Finish v ->
-            check_vertex step v;
-            if not (Bitset.mem begun v) || Bitset.mem finished v then
-              fail step "finish %d: no accumulator in progress" v;
-            if not (Bitset.mem red v) then fail step "finish %d: accumulator not red" v;
-            if absorbed_count.(v) < Cdag.in_degree g v then
-              fail step "finish %d: only %d of %d predecessors absorbed" v
-                absorbed_count.(v) (Cdag.in_degree g v);
-            Bitset.add finished v;
-            absorbed.(v) <- None;
-            incr finishes)
-      moves;
-    let finish = List.length moves in
+  let play = function
+    | Load v | Store v | Delete v | Begin v | Finish v | Absorb { v; _ }
+      when v < 0 || v >= n ->
+        illegal "vertex %d out of range" v
+    | Absorb { pred; _ } when pred < 0 || pred >= n -> illegal "vertex %d out of range" pred
+    | Load v ->
+        if not (Bitset.mem blue v) then illegal "load %d: no blue pebble" v;
+        if in_progress v then illegal "load %d: an accumulator for it is in progress" v;
+        place v;
+        if Cdag.is_input g v then Bitset.add input_read v;
+        incr loads
+    | Store v ->
+        if not (Bitset.mem red v) then illegal "store %d: no red pebble" v;
+        if not (is_complete v) then
+          illegal "store %d: not finished (partial values cannot be stored)" v;
+        Bitset.add blue v;
+        incr stores
+    | Delete v ->
+        if not (Bitset.mem red v) then illegal "delete %d: no red pebble" v;
+        Bitset.remove red v;
+        (* Deleting an in-progress accumulator discards its partial
+           sums: the vertex may be begun again from scratch. *)
+        if in_progress v then begin
+          Bitset.remove begun v;
+          absorbed.(v) <- idle
+        end
+    | Begin v ->
+        if Cdag.is_input g v then illegal "begin %d: inputs cannot fire" v;
+        if Bitset.mem finished v then
+          illegal "begin %d: already finished (recomputation forbidden)" v;
+        if Bitset.mem begun v then illegal "begin %d: already in progress" v;
+        if Bitset.mem red v then illegal "begin %d: a complete copy is already red" v;
+        place v;
+        Bitset.add begun v;
+        absorbed.(v) <- Bitset.create (Cdag.in_degree g v)
+    | Absorb { v; pred } ->
+        if not (in_progress v) then
+          illegal "absorb %d <- %d: no accumulator in progress" v pred;
+        if not (Bitset.mem red v) then illegal "absorb %d <- %d: accumulator not red" v pred;
+        if not (Bitset.mem red pred) then illegal "absorb %d <- %d: operand not red" v pred;
+        if not (is_complete pred) then illegal "absorb %d <- %d: operand not finished" v pred;
+        let i = slot g v pred in
+        if i < 0 then illegal "absorb %d <- %d: not a predecessor" v pred;
+        if Bitset.mem absorbed.(v) i then illegal "absorb %d <- %d: already absorbed" v pred;
+        Bitset.add absorbed.(v) i;
+        incr absorbs
+    | Finish v ->
+        if not (in_progress v) then illegal "finish %d: no accumulator in progress" v;
+        if not (Bitset.mem red v) then illegal "finish %d: accumulator not red" v;
+        if Bitset.cardinal absorbed.(v) < Cdag.in_degree g v then
+          illegal "finish %d: only %d of %d predecessors absorbed" v
+            (Bitset.cardinal absorbed.(v)) (Cdag.in_degree g v);
+        Bitset.add finished v;
+        absorbed.(v) <- idle;
+        incr finishes
+  in
+  let complete () =
     List.iter
       (fun v ->
-        if not (Bitset.mem blue v) then
-          fail finish "output %d has no blue pebble at the end" v)
+        if not (Bitset.mem blue v) then illegal "output %d has no blue pebble at the end" v)
       (Cdag.outputs g);
     List.iter
-      (fun v ->
-        if not (Bitset.mem input_read v) then
-          fail finish "input %d was never loaded" v)
+      (fun v -> if not (Bitset.mem input_read v) then illegal "input %d was never loaded" v)
       (Cdag.inputs g);
-    Ok
-      {
-        loads = !loads;
-        stores = !stores;
-        io = !loads + !stores;
-        finishes = !finishes;
-        absorbs = !absorbs;
-        max_red = !max_red;
-      }
-  with Fail e -> Error e
+    {
+      loads = !loads;
+      stores = !stores;
+      io = !loads + !stores;
+      finishes = !finishes;
+      absorbs = !absorbs;
+      max_red = !max_red;
+    }
+  in
+  Rb_game.checker ~play ~complete
 
-let validate g ~s moves =
-  match run g ~s moves with Ok _ -> None | Error e -> Some e
-
-let io_of g ~s moves =
-  match run g ~s moves with
-  | Ok stats -> stats.io
-  | Error e -> failwith (Printf.sprintf "invalid PC game at step %d: %s" e.step e.reason)
+let step = Rb_game.step
+let finish = Rb_game.finish
+let run g ~s moves = Rb_game.replay (start g ~s) moves

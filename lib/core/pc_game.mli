@@ -47,18 +47,28 @@ type stats = {
   max_red : int;
 }
 
-type error = {
+type error = Rb_game.error = {
   step : int;
       (** 0-based index of the offending move, or the move-list length
           for a completion failure *)
   reason : string;
 }
 
+type checker = (move, stats) Rb_game.checker
+(** A game in progress.  An open accumulator keeps one bit per
+    predecessor, not one per vertex of the graph. *)
+
+val start : Cdag.t -> s:int -> checker
+(** The initial state: a blue pebble on each tagged input, no red
+    pebble.  Raises [Invalid_argument] when [s <= 0]. *)
+
+val step : checker -> move -> unit
+(** Play one move; the first illegal move is remembered and every
+    later one ignored. *)
+
+val finish : checker -> (stats, error) result
+(** The first illegal move, or else the completion check (a blue
+    pebble on every output, every input loaded) and the counters. *)
+
 val run : Cdag.t -> s:int -> move list -> (stats, error) result
-(** Play a complete game.  Raises [Invalid_argument] when [s <= 0]. *)
-
-val validate : Cdag.t -> s:int -> move list -> error option
-(** [None] when {!run} succeeds. *)
-
-val io_of : Cdag.t -> s:int -> move list -> int
-(** I/O count of a valid game; raises [Failure] on an invalid one. *)
+(** Play a complete game: {!start}, {!step} on each move, {!finish}. *)

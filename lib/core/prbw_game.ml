@@ -46,7 +46,7 @@ let vertical_io_total stats =
   + Array.fold_left ( + ) 0 stats.move_up
   + Array.fold_left ( + ) 0 stats.move_down
 
-type error = { step : int; reason : string }
+type error = Rb_game.error = { step : int; reason : string }
 
 type state = {
   hier : Hierarchy.t;
@@ -219,9 +219,6 @@ let run hier g moves =
         max_occupancy = st.occupancy_peak;
       }
   with Fail e -> Error e
-
-let validate hier g moves =
-  match run hier g moves with Ok _ -> None | Error e -> Some e
 
 let embed_sequential hier ~proc moves =
   let levels = Hierarchy.n_levels hier in

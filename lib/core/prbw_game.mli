@@ -70,13 +70,11 @@ val boundary_traffic : stats -> level:int -> int
 val vertical_io_total : stats -> int
 (** Sum of all R1, R2, R4 and R5 moves. *)
 
-type error = { step : int; reason : string }
+type error = Rb_game.error = { step : int; reason : string }
 
 val run : Hierarchy.t -> Cdag.t -> move list -> (stats, error) result
 (** Replay and validate a game, enforcing every rule, all unit
     capacities, and the completion condition. *)
-
-val validate : Hierarchy.t -> Cdag.t -> move list -> error option
 
 val embed_sequential :
   Hierarchy.t -> proc:int -> Rbw_game.move list -> move list

@@ -1,4 +1,3 @@
-module Bitset = Dmc_util.Bitset
 module Cdag = Dmc_cdag.Cdag
 module Validate = Dmc_cdag.Validate
 
@@ -18,80 +17,17 @@ type stats = Rb_game.stats = {
 
 type error = Rb_game.error = { step : int; reason : string }
 
+type checker = (move, stats) Rb_game.checker
+
+let start = Rb_game.start_white
+let step = Rb_game.step
+let finish = Rb_game.finish
+
 let run g ~s moves =
-  if s <= 0 then invalid_arg "Rbw_game.run: s must be positive";
+  let c = start g ~s in
   if not (Validate.is_rbw g) then
     invalid_arg "Rbw_game.run: graph violates the RBW convention";
-  let n = Cdag.n_vertices g in
-  let red = Bitset.create n and blue = Bitset.create n and white = Bitset.create n in
-  List.iter (Bitset.add blue) (Cdag.inputs g);
-  let loads = ref 0 and stores = ref 0 and computes = ref 0 and max_red = ref 0 in
-  let exception Fail of error in
-  let fail step fmt = Format.kasprintf (fun reason -> raise (Fail { step; reason })) fmt in
-  let place step v =
-    if not (Bitset.mem red v) then begin
-      if Bitset.cardinal red >= s then fail step "no free red pebble (S = %d)" s;
-      Bitset.add red v;
-      if Bitset.cardinal red > !max_red then max_red := Bitset.cardinal red
-    end
-  in
-  let check_vertex step v =
-    if v < 0 || v >= n then fail step "vertex %d out of range" v
-  in
-  try
-    List.iteri
-      (fun step move ->
-        match move with
-        | Load v ->
-            check_vertex step v;
-            if not (Bitset.mem blue v) then fail step "load %d: no blue pebble" v;
-            place step v;
-            Bitset.add white v;
-            incr loads
-        | Store v ->
-            check_vertex step v;
-            if not (Bitset.mem red v) then fail step "store %d: no red pebble" v;
-            Bitset.add blue v;
-            incr stores
-        | Compute v ->
-            check_vertex step v;
-            if Cdag.is_input g v then fail step "compute %d: inputs cannot fire" v;
-            if Bitset.mem white v then
-              fail step "compute %d: already white (recomputation forbidden)" v;
-            let missing =
-              Cdag.fold_pred g v
-                (fun acc u -> if Bitset.mem red u then acc else u :: acc)
-                []
-            in
-            (match missing with
-            | u :: _ -> fail step "compute %d: predecessor %d not red" v u
-            | [] ->
-                place step v;
-                Bitset.add white v;
-                incr computes)
-        | Delete v ->
-            check_vertex step v;
-            if not (Bitset.mem red v) then fail step "delete %d: no red pebble" v;
-            Bitset.remove red v)
-      moves;
-    let finish = List.length moves in
-    Cdag.iter_vertices g (fun v ->
-        if not (Bitset.mem white v) then
-          fail finish "vertex %d has no white pebble at the end" v);
-    List.iter
-      (fun v ->
-        if not (Bitset.mem blue v) then
-          fail finish "output %d has no blue pebble at the end" v)
-      (Cdag.outputs g);
-    Ok
-      {
-        loads = !loads;
-        stores = !stores;
-        io = !loads + !stores;
-        computes = !computes;
-        max_red = !max_red;
-      }
-  with Fail e -> Error e
+  Rb_game.replay c moves
 
 let validate g ~s moves =
   match run g ~s moves with Ok _ -> None | Error e -> Some e

@@ -13,7 +13,9 @@ module Cdag := Dmc_cdag.Cdag
       input is loaded at least once) and a blue pebble on every output.
 
     Move sequences are shared with {!Rb_game} so one strategy output
-    can be checked under both rule sets. *)
+    can be checked under both rule sets, and so is the checker: the
+    RBW checker is the RB checker plus exactly these white-pebble
+    rules, as Definition 4 is Definition 2 plus them. *)
 
 type move = Rb_game.move =
   | Load of Cdag.vertex
@@ -31,10 +33,27 @@ type stats = Rb_game.stats = {
 
 type error = Rb_game.error = { step : int; reason : string }
 
+type checker = (move, stats) Rb_game.checker
+
+val start : Cdag.t -> s:int -> checker
+(** {!Rb_game.start_white}: a blue pebble on each tagged input, no red
+    or white pebble.  Raises [Invalid_argument] when [s <= 0].  It
+    does not check the RBW convention, which is a precondition on the
+    graph rather than a rule on the moves. *)
+
+val step : checker -> move -> unit
+(** Play one move under the RB rules and the white-pebble rules; the
+    first illegal move is remembered and every later one ignored. *)
+
+val finish : checker -> (stats, error) result
+(** The first illegal move, or else the completion check (a white
+    pebble on every vertex, a blue one on every output). *)
+
 val run : Cdag.t -> s:int -> move list -> (stats, error) result
-(** Play a complete RBW game.  Raises [Invalid_argument] when
-    [s <= 0] or when the graph violates the RBW convention (an input
-    with a predecessor, see {!Dmc_cdag.Validate.rbw}). *)
+(** Play a complete RBW game: {!start}, {!step} on each move,
+    {!finish}.  Raises [Invalid_argument] when [s <= 0] or when the
+    graph violates the RBW convention (an input with a predecessor,
+    see {!Dmc_cdag.Validate.rbw}). *)
 
 val validate : Cdag.t -> s:int -> move list -> error option
 

@@ -176,7 +176,8 @@ let pc =
    not yet blue) are stored before deletion; dead values are dropped as
    soon as their last consumer fires; a value needed on a processor
    other than its producer is published through slow memory.  Only the
-   firing processor evicts, so one pinned set serves them all. *)
+   firing processor evicts, so one pinned set serves them all.  Every
+   move goes to the sink [emit]. *)
 type 'm cache = {
   g : Cdag.t;
   s : int;
@@ -184,25 +185,20 @@ type 'm cache = {
   name : string;  (* the scheduler, for span and failure texts *)
   sequential : bool;  (* only the sequential game feeds the eviction metrics *)
   spell : 'm spelling;
+  emit : 'm -> unit;
   w : walk;
   red : Bitset.t array;
   blue : Bitset.t;
   loaded : Bitset.t;
   dead : Cdag.vertex -> int;
-  mutable moves : 'm list;
-  mutable io : int;
 }
 
-let emit c m = c.moves <- m :: c.moves
-
 let store c q v =
-  emit c (c.spell.store q v);
-  c.io <- c.io + 1;
+  c.emit (c.spell.store q v);
   Bitset.add c.blue v
 
 let load c q v =
-  emit c (c.spell.load q v);
-  c.io <- c.io + 1;
+  c.emit (c.spell.load q v);
   Bitset.add c.red.(q) v;
   Bitset.add c.loaded v
 
@@ -210,7 +206,7 @@ let load c q v =
    slow memory lacks. *)
 let drop c q v ~live =
   if (live || Cdag.is_output c.g v) && not (Bitset.mem c.blue v) then store c q v;
-  emit c (c.spell.delete q v);
+  c.emit (c.spell.delete q v);
   Bitset.remove c.red.(q) v
 
 let evict c q =
@@ -271,7 +267,7 @@ let compute mk c q v preds =
       Bitset.add pinned u)
     preds;
   make_room c q;
-  emit c (mk q v);
+  c.emit (mk q v);
   Bitset.add c.red.(q) v;
   touch c.w v;
   List.iter (Bitset.remove pinned) preds
@@ -282,27 +278,27 @@ let compute mk c q v preds =
 let absorb c _ v preds =
   let pinned = c.w.pinned in
   make_room c 0;
-  emit c (Pc_game.Begin v);
+  c.emit (Pc_game.Begin v);
   Bitset.add c.red.(0) v;
   Bitset.add pinned v;
   List.iter
     (fun u ->
       bring_in c 0 u;
       Bitset.add pinned u;
-      emit c (Pc_game.Absorb { v; pred = u });
+      c.emit (Pc_game.Absorb { v; pred = u });
       Dmc_obs.Counter.incr c_pc_absorbs;
       Bitset.remove pinned u)
     preds;
-  emit c (Pc_game.Finish v);
+  c.emit (Pc_game.Finish v);
   touch c.w v;
   Bitset.remove pinned v
 
-(* Play the cache game of scheduler [name] over the order, firing each
-   vertex on processor [i mod p] with [fire]; outputs still resident
-   then reach slow memory and never-used inputs are read once (the
-   white-pebble completion rule). *)
+(* Play the cache game of scheduler [name] over the order into [emit],
+   firing each vertex on processor [i mod p] with [fire]; outputs still
+   resident then reach slow memory and never-used inputs are read once
+   (the white-pebble completion rule). *)
 let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~s
-    ~fire =
+    ~fire emit =
   Dmc_obs.Span.with_
     ~attrs:(("policy", match policy with Belady -> "belady" | Lru -> "lru") :: attrs)
     ("strategy." ^ name)
@@ -312,7 +308,7 @@ let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~
   List.iter (Bitset.add blue) (Cdag.inputs g);
   let c =
     {
-      g; s; policy; name; sequential; spell;
+      g; s; policy; name; sequential; spell; emit;
       w = walk g order;
       red = Array.init p (fun _ -> Bitset.create n);
       blue;
@@ -321,8 +317,6 @@ let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~
       dead =
         (fun v ->
           if Bitset.mem blue v || not (Cdag.is_output g v) then max_int else max_int - 1);
-      moves = [];
-      io = 0;
     }
   in
   run_walk ?budget g c.w
@@ -340,8 +334,24 @@ let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~
         load c 0 v;
         drop c 0 v ~live:false
       end)
-    (Cdag.inputs g);
-  c
+    (Cdag.inputs g)
+
+(* The two sinks.  [collect] keeps a game's moves in order; [checked]
+   plays them in the game's own checker as they are emitted and returns
+   its stats, so a count is never reported for a move list the rules
+   reject (that would be a bug here, not a property of the graph). *)
+let collect game =
+  let moves = ref [] in
+  game (fun m -> moves := m :: !moves);
+  List.rev !moves
+
+let checked name checker game =
+  game (Rb_game.step checker);
+  match Rb_game.finish checker with
+  | Ok stats -> stats
+  | Error e ->
+      Budget.internal_error ~where:("Strategy." ^ name) "move %d rejected: %s" e.step
+        e.reason
 
 let sequential_game ?budget ?policy ?order g ~s =
   if s <= 0 then invalid_arg "Strategy.schedule: s must be positive";
@@ -350,9 +360,11 @@ let sequential_game ?budget ?policy ?order g ~s =
     ~fire:(compute (fun _ v -> Rb_game.Compute v))
 
 let schedule ?budget ?policy ?order g ~s =
-  List.rev (sequential_game ?budget ?policy ?order g ~s).moves
+  collect (sequential_game ?budget ?policy ?order g ~s)
 
-let io ?budget ?policy ?order g ~s = (sequential_game ?budget ?policy ?order g ~s).io
+let io ?budget ?policy ?order g ~s =
+  let game = sequential_game ?budget ?policy ?order g ~s in
+  (checked "schedule" (Rbw_game.start g ~s) game).io
 
 let mp_game ?budget ?policy ?order g ~p ~s =
   if p <= 0 then invalid_arg "Strategy.mp_schedule: p must be positive";
@@ -363,9 +375,13 @@ let mp_game ?budget ?policy ?order g ~p ~s =
     ~fire:(compute (fun proc v -> Mp_game.Compute { proc; v }))
 
 let mp_schedule ?budget ?policy ?order g ~p ~s =
-  List.rev (mp_game ?budget ?policy ?order g ~p ~s).moves
+  collect (mp_game ?budget ?policy ?order g ~p ~s)
 
-let mp_io ?budget ?policy ?order g ~p ~s = (mp_game ?budget ?policy ?order g ~p ~s).io
+let mp_stats ?budget ?policy ?order g ~p ~s =
+  let game = mp_game ?budget ?policy ?order g ~p ~s in
+  checked "mp_schedule" (Mp_game.start ~g_cost:1 g ~p ~s) game
+
+let mp_io ?budget ?policy ?order g ~p ~s = (mp_stats ?budget ?policy ?order g ~p ~s).io
 
 let pc_game ?budget ?policy ?order g ~s =
   if s < 2 then invalid_arg "Strategy.pc_schedule: s must be at least 2";
@@ -373,16 +389,16 @@ let pc_game ?budget ?policy ?order g ~s =
     pc ?policy ?order g ~p:1 ~s ~fire:absorb
 
 let pc_schedule ?budget ?policy ?order g ~s =
-  List.rev (pc_game ?budget ?policy ?order g ~s).moves
+  collect (pc_game ?budget ?policy ?order g ~s)
 
-let pc_io ?budget ?policy ?order g ~s = (pc_game ?budget ?policy ?order g ~s).io
+let pc_io ?budget ?policy ?order g ~s =
+  let game = pc_game ?budget ?policy ?order g ~s in
+  (checked "pc_schedule" (Pc_game.start g ~s) game).io
 
 (* The no-reuse game: every operand loaded just before each use, every
    result stored at once, vertices round-robin over [p] processors, and
    never-used inputs read once at the end. *)
-let trivial_game spell mk g ~p =
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
+let trivial_game spell mk g ~p emit =
   let used_input = Bitset.create (Cdag.n_vertices g) in
   Array.iteri
     (fun i v ->
@@ -404,10 +420,9 @@ let trivial_game spell mk g ~p =
         emit (spell.load 0 v);
         emit (spell.delete 0 v)
       end)
-    (Cdag.inputs g);
-  List.rev !moves
+    (Cdag.inputs g)
 
-let trivial g = trivial_game rb (fun _ v -> Rb_game.Compute v) g ~p:1
+let trivial g = collect (trivial_game rb (fun _ v -> Rb_game.Compute v) g ~p:1)
 
 let trivial_io g =
   let unused_inputs =
@@ -419,7 +434,7 @@ let trivial_io g =
 
 let mp_trivial g ~p =
   if p <= 0 then invalid_arg "Strategy.mp_trivial: p must be positive";
-  trivial_game mp (fun proc v -> Mp_game.Compute { proc; v }) g ~p
+  collect (trivial_game mp (fun proc v -> Mp_game.Compute { proc; v }) g ~p)
 
 (* every operand loaded just before use, every result stored once: the
    count is independent of the processor assignment. *)
@@ -427,6 +442,110 @@ let mp_trivial_io = trivial_io
 
 (* ------------------------------------------------------------------ *)
 (* The three-level games                                               *)
+
+(* The level both three-level games share: one [s2]-word cache (level
+   2, unit 0) over one unbounded memory (level 3).  It stages operands
+   in from memory, an input's first read being its [Input]; policy
+   victims still live retreat to memory; dead non-outputs are released;
+   at the end outputs reach memory and turn blue, and inputs never read
+   are whitened.  [where] names the game in failure texts, and
+   [too_small] is its text when every candidate victim is pinned. *)
+type level = {
+  g : Cdag.t;
+  w : walk;
+  policy : policy;
+  where : string;
+  too_small : string;
+  s1 : int;
+  s2 : int;
+  cache : Bitset.t;
+  in_memory : Bitset.t;  (* at level 3; an input only once read *)
+  emit : Prbw_game.move -> unit;
+}
+
+let shared_level g w ~policy ~where ~too_small ~s1 ~s2 emit =
+  let n = Cdag.n_vertices g in
+  {
+    g; w; policy; where; too_small; s1; s2; emit;
+    cache = Bitset.create n;
+    in_memory = Bitset.create n;
+  }
+
+let pick l set =
+  let v = victim l.w l.policy ~dead:(fun _ -> max_int) set in
+  if v < 0 then failwith l.too_small;
+  v
+
+let live l v = next_use l.w v <> no_use || Cdag.is_output l.g v
+
+(* Evict one cache entry; live values retreat to memory. *)
+let evict_cache l =
+  let v = pick l l.cache in
+  if live l v && not (Bitset.mem l.in_memory v) then begin
+    l.emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
+    Bitset.add l.in_memory v
+  end;
+  l.emit (Prbw_game.Delete { level = 2; unit_id = 0; v });
+  Bitset.remove l.cache v
+
+let cache_room l = while Bitset.cardinal l.cache >= l.s2 do evict_cache l done
+
+(* Write [v] down from a core's registers into the cache. *)
+let write_back l v =
+  cache_room l;
+  l.emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
+  Bitset.add l.cache v
+
+(* Stage [v] up from memory into the cache. *)
+let stage l v =
+  if not (Bitset.mem l.cache v) then begin
+    if Cdag.is_input l.g v && not (Bitset.mem l.in_memory v) then begin
+      l.emit (Prbw_game.Input { unit_id = 0; v });
+      Bitset.add l.in_memory v
+    end;
+    if not (Bitset.mem l.in_memory v) then
+      Budget.internal_error ~where:l.where
+        "operand %d lost (n=%d, s1=%d, s2=%d, clock=%d)" v (Cdag.n_vertices l.g) l.s1
+        l.s2 l.w.clock;
+    cache_room l;
+    l.emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
+    Bitset.add l.cache v
+  end
+
+(* Drop [v] from the level-[level] [set] once dead, unless an output. *)
+let release_dead l ~level set v =
+  if Bitset.mem set v && next_use l.w v = no_use && not (Cdag.is_output l.g v) then begin
+    l.emit (Prbw_game.Delete { level; unit_id = 0; v });
+    Bitset.remove set v
+  end
+
+(* Outputs reach memory and receive blue pebbles, written back first
+   when only the registers hold them ([in_regs]); tagged inputs are
+   born blue and need neither.  Then untouched inputs are whitened. *)
+let finish_level l ~in_regs =
+  List.iter
+    (fun v ->
+      if not (Cdag.is_input l.g v) then begin
+        if not (Bitset.mem l.in_memory v) then begin
+          if not (Bitset.mem l.cache v) then begin
+            if not (in_regs v) then
+              Budget.internal_error ~where:l.where "output %d lost (n=%d, s1=%d, s2=%d)"
+                v (Cdag.n_vertices l.g) l.s1 l.s2;
+            write_back l v
+          end;
+          l.emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
+          Bitset.add l.in_memory v
+        end;
+        l.emit (Prbw_game.Output { unit_id = 0; v })
+      end)
+    (Cdag.outputs l.g);
+  List.iter
+    (fun v ->
+      if not (Bitset.mem l.in_memory v) then begin
+        l.emit (Prbw_game.Input { unit_id = 0; v });
+        Bitset.add l.in_memory v
+      end)
+    (Cdag.inputs l.g)
 
 let hierarchical_hierarchy ~s1 ~s2 =
   Hierarchy.create
@@ -438,38 +557,18 @@ let hierarchical_hierarchy ~s1 ~s2 =
 
 let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
   if s1 <= 0 || s2 <= 0 then invalid_arg "Strategy.hierarchical";
+  collect @@ fun emit ->
   let w = walk g order in
-  let n = Cdag.n_vertices g in
-  let regs = Bitset.create n and cache = Bitset.create n in
-  let in_memory = Bitset.create n in   (* present at level 3 *)
-  let input_read = Bitset.create n in
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let pick_victim set =
-    let v = victim w policy ~dead:(fun _ -> max_int) set in
-    if v < 0 then failwith "Strategy.hierarchical: capacities too small";
-    v
+  let l =
+    shared_level g w ~policy ~where:"Strategy.hierarchical"
+      ~too_small:"Strategy.hierarchical: capacities too small" ~s1 ~s2 emit
   in
-  let live v = next_use w v <> no_use || Cdag.is_output g v in
-  (* Evict one cache entry; live values retreat to memory. *)
-  let evict_cache () =
-    let v = pick_victim cache in
-    if live v && not (Bitset.mem in_memory v) then begin
-      emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
-      Bitset.add in_memory v
-    end;
-    emit (Prbw_game.Delete { level = 2; unit_id = 0; v });
-    Bitset.remove cache v
-  in
-  let cache_room () = while Bitset.cardinal cache >= s2 do evict_cache () done in
+  let regs = Bitset.create (Cdag.n_vertices g) in
   (* Evict one register; live values retreat to the cache. *)
   let evict_regs () =
-    let v = pick_victim regs in
-    if live v && not (Bitset.mem cache v) && not (Bitset.mem in_memory v) then begin
-      cache_room ();
-      emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
-      Bitset.add cache v
-    end;
+    let v = pick l regs in
+    if live l v && not (Bitset.mem l.cache v) && not (Bitset.mem l.in_memory v) then
+      write_back l v;
     emit (Prbw_game.Delete { level = 1; unit_id = 0; v });
     Bitset.remove regs v
   in
@@ -477,19 +576,7 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
   (* Bring an operand into the registers, staging through the cache. *)
   let bring_in v =
     if not (Bitset.mem regs v) then begin
-      if not (Bitset.mem cache v) then begin
-        if Cdag.is_input g v && not (Bitset.mem input_read v) then begin
-          emit (Prbw_game.Input { unit_id = 0; v });
-          Bitset.add in_memory v;
-          Bitset.add input_read v
-        end;
-        if not (Bitset.mem in_memory v) then
-          Budget.internal_error ~where:"Strategy.hierarchical"
-            "operand %d lost (n=%d, s1=%d, s2=%d, clock=%d)" v n s1 s2 w.clock;
-        cache_room ();
-        emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
-        Bitset.add cache v
-      end;
+      stage l v;
       Bitset.add w.pinned v;
       regs_room ();
       emit (Prbw_game.Move_up { level = 1; unit_id = 0; v });
@@ -497,12 +584,6 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
     end;
     Bitset.add w.pinned v;
     touch w v
-  in
-  let release ~level set v =
-    if Bitset.mem set v && next_use w v = no_use && not (Cdag.is_output g v) then begin
-      emit (Prbw_game.Delete { level; unit_id = 0; v });
-      Bitset.remove set v
-    end
   in
   run_walk g w
     ~fire:(fun _ v preds ->
@@ -514,38 +595,10 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
       touch w v;
       List.iter (Bitset.remove w.pinned) preds)
     ~release:(fun _ v preds ->
-      List.iter (release ~level:1 regs) preds;
-      List.iter (release ~level:2 cache) preds;
-      release ~level:1 regs v);
-  (* Outputs must reach the memory level and receive blue pebbles;
-     tagged inputs are born blue and need neither. *)
-  List.iter
-    (fun v ->
-      if not (Cdag.is_input g v) then begin
-        if not (Bitset.mem in_memory v) then begin
-          if not (Bitset.mem cache v) then begin
-            if not (Bitset.mem regs v) then
-              Budget.internal_error ~where:"Strategy.hierarchical"
-                "output %d lost (n=%d, s1=%d, s2=%d)" v n s1 s2;
-            cache_room ();
-            emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
-            Bitset.add cache v
-          end;
-          emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
-          Bitset.add in_memory v
-        end;
-        emit (Prbw_game.Output { unit_id = 0; v })
-      end)
-    (Cdag.outputs g);
-  (* Whiten untouched inputs. *)
-  List.iter
-    (fun v ->
-      if not (Bitset.mem input_read v) then begin
-        emit (Prbw_game.Input { unit_id = 0; v });
-        Bitset.add input_read v
-      end)
-    (Cdag.inputs g);
-  List.rev !moves
+      List.iter (release_dead l ~level:1 regs) preds;
+      List.iter (release_dead l ~level:2 l.cache) preds;
+      release_dead l ~level:1 regs v);
+  finish_level l ~in_regs:(Bitset.mem regs)
 
 let smp_hierarchy ~cores ~s1 ~s2 =
   Hierarchy.create
@@ -557,40 +610,11 @@ let smp_hierarchy ~cores ~s1 ~s2 =
 
 let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
   if cores <= 0 || s1 <= 0 || s2 <= 0 then invalid_arg "Strategy.smp_shared";
+  collect @@ fun emit ->
   let w = walk g order in
-  let n = Cdag.n_vertices g in
-  let cache = Bitset.create n and in_memory = Bitset.create n in
-  let input_read = Bitset.create n in
-  let moves = ref [] in
-  let emit m = moves := m :: !moves in
-  let evict_cache () =
-    let v = victim w policy ~dead:(fun _ -> max_int) cache in
-    if v < 0 then failwith "Strategy.smp_shared: cache too small";
-    if (next_use w v <> no_use || Cdag.is_output g v) && not (Bitset.mem in_memory v)
-    then begin
-      emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
-      Bitset.add in_memory v
-    end;
-    emit (Prbw_game.Delete { level = 2; unit_id = 0; v });
-    Bitset.remove cache v
-  in
-  let cache_room () = while Bitset.cardinal cache >= s2 do evict_cache () done in
-  let ensure_in_cache v =
-    if not (Bitset.mem cache v) then begin
-      if Cdag.is_input g v && not (Bitset.mem input_read v) then begin
-        emit (Prbw_game.Input { unit_id = 0; v });
-        Bitset.add in_memory v;
-        Bitset.add input_read v
-      end;
-      if not (Bitset.mem in_memory v) then
-        Budget.internal_error ~where:"Strategy.smp_shared"
-          "operand %d lost (n=%d, s1=%d, s2=%d)" v n s1 s2;
-      cache_room ();
-      emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
-      Bitset.add cache v
-    end;
-    Bitset.add w.pinned v;
-    touch w v
+  let l =
+    shared_level g w ~policy ~where:"Strategy.smp_shared"
+      ~too_small:"Strategy.smp_shared: cache too small" ~s1 ~s2 emit
   in
   run_walk g w
     ~fire:(fun i v preds ->
@@ -599,53 +623,26 @@ let smp_shared ?(policy = Belady) ?order g ~cores ~s1 ~s2 =
         failwith "Strategy.smp_shared: register file too small for the operand set";
       (* stage all operands into the shared cache first (pinned), then
          into this core's registers *)
-      List.iter ensure_in_cache preds;
+      List.iter
+        (fun u ->
+          stage l u;
+          Bitset.add w.pinned u;
+          touch w u)
+        preds;
       List.iter
         (fun u -> emit (Prbw_game.Move_up { level = 1; unit_id = proc; v = u }))
         preds;
       emit (Prbw_game.Compute { proc; v });
       (* result goes to the shared cache; registers are cleared *)
-      cache_room ();
-      emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
-      Bitset.add cache v;
+      write_back l v;
       touch w v;
       List.iter
         (fun u -> emit (Prbw_game.Delete { level = 1; unit_id = proc; v = u }))
         preds;
       emit (Prbw_game.Delete { level = 1; unit_id = proc; v });
       List.iter (Bitset.remove w.pinned) preds)
-    ~release:(fun _ _ preds ->
-      (* eagerly drop dead non-outputs from the cache *)
-      List.iter
-        (fun u ->
-          if Bitset.mem cache u && next_use w u = no_use && not (Cdag.is_output g u)
-          then begin
-            emit (Prbw_game.Delete { level = 2; unit_id = 0; v = u });
-            Bitset.remove cache u
-          end)
-        preds);
-  (* outputs to memory + blue pebbles; whiten unread inputs *)
-  List.iter
-    (fun v ->
-      if not (Cdag.is_input g v) then begin
-        if not (Bitset.mem in_memory v) then begin
-          if not (Bitset.mem cache v) then
-            Budget.internal_error ~where:"Strategy.smp_shared"
-              "output %d lost (n=%d, s1=%d, s2=%d)" v n s1 s2;
-          emit (Prbw_game.Move_down { level = 3; unit_id = 0; v });
-          Bitset.add in_memory v
-        end;
-        emit (Prbw_game.Output { unit_id = 0; v })
-      end)
-    (Cdag.outputs g);
-  List.iter
-    (fun v ->
-      if not (Bitset.mem input_read v) then begin
-        emit (Prbw_game.Input { unit_id = 0; v });
-        Bitset.add input_read v
-      end)
-    (Cdag.inputs g);
-  List.rev !moves
+    ~release:(fun _ _ preds -> List.iter (release_dead l ~level:2 l.cache) preds);
+  finish_level l ~in_regs:(fun _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* SPMD                                                                 *)

@@ -9,8 +9,13 @@ module Hierarchy := Dmc_machine.Hierarchy
     a bound is informative one needs an execution whose cost approaches
     it.  Each function here produces a move list that the corresponding
     game engine accepts (the tests replay every schedule through
-    {!Rbw_game.run} / {!Prbw_game.run}), so the reported I/O counts are
-    certified upper bounds on the optimum.
+    {!Rbw_game.run} / {!Prbw_game.run}).  The I/O counts {!io},
+    {!mp_io} and {!pc_io} (and {!mp_stats}) are the counts of the
+    game's own checker ({!Rbw_game}, {!Mp_game}, {!Pc_game}), which
+    plays each move as the scheduler emits it, so they are certified
+    upper bounds on the optimum without the move list being built; a
+    move the checker rejects raises
+    {!Dmc_util.Budget.Internal_error}, never a count.
 
     The five policy schedulers are layered on two shared pieces: one
     walk over the compute order (each value's use positions, a cursor
@@ -23,9 +28,13 @@ module Hierarchy := Dmc_machine.Hierarchy
     cross-processor values published through slow memory.  Its p = 1
     game is {!schedule}, its p-processor game is {!mp_schedule}, and
     its accumulator game is {!pc_schedule}; each game only spells the
-    moves.  {!hierarchical} and {!smp_shared} use the walk and victim
-    rule for their register and cache levels.  {!trivial} and
-    {!mp_trivial} are one no-reuse game, at p = 1 and round-robin. *)
+    moves, and every move goes to a sink: a list for the schedules, the
+    game's checker for the counts.  {!hierarchical} and {!smp_shared}
+    share one cache level (staging from memory with an input's first
+    read, policy eviction with live victims moved down, release of dead
+    non-outputs, the output flush, input whitening) and differ only in
+    their register level.  {!trivial} and {!mp_trivial} are one
+    no-reuse game, at p = 1 and round-robin. *)
 
 val default_order : Cdag.t -> Cdag.vertex array
 (** The deterministic topological order of the non-input vertices
@@ -73,7 +82,9 @@ val io :
   Cdag.t ->
   s:int ->
   int
-(** I/O cost of {!schedule}. *)
+(** I/O cost of {!schedule}: the count of {!Rbw_game}'s checker,
+    which plays the moves as they are emitted (no list is built).  The
+    graph need not keep the RBW convention. *)
 
 val trivial : Cdag.t -> Rbw_game.move list
 (** The no-reuse baseline: every operand is loaded just before each
@@ -158,7 +169,20 @@ val mp_io :
   p:int ->
   s:int ->
   int
-(** I/O cost (= communication volume) of {!mp_schedule}. *)
+(** I/O cost (= communication volume) of {!mp_schedule}: the
+    [io] of {!mp_stats}. *)
+
+val mp_stats :
+  ?budget:Budget.t ->
+  ?policy:policy ->
+  ?order:Cdag.vertex array ->
+  Cdag.t ->
+  p:int ->
+  s:int ->
+  Mp_game.stats
+(** The stats of {!mp_schedule}'s game in {!Mp_game}'s checker, which
+    plays the moves as they are emitted: its I/O, and its makespan with
+    every compute and I/O move costing 1. *)
 
 val mp_trivial : Cdag.t -> p:int -> Mp_game.move list
 (** The no-reuse multi-processor baseline: operands loaded just before
@@ -190,7 +214,8 @@ val pc_io :
   Cdag.t ->
   s:int ->
   int
-(** I/O cost of {!pc_schedule}. *)
+(** I/O cost of {!pc_schedule}: the count of {!Pc_game}'s checker,
+    which plays the moves as they are emitted. *)
 
 val spmd :
   Cdag.t ->

@@ -84,19 +84,30 @@ let subset a b =
   in
   go 0
 
-(* Byte by byte, and within a byte only up to its highest set bit.  The
-   byte is re-read for every bit, so members that [f] adds ahead of the
-   walk are visited and members it removes ahead of it are not, as a
-   bit-by-bit walk would; a byte is only skipped while no [f] runs. *)
+(* Block by block: an all-zero 8-byte block costs one read, and any
+   other block is walked byte by byte, within a byte only up to its
+   highest set bit.  A byte is re-read for every bit, so members that
+   [f] adds ahead of the walk are visited and members it removes ahead
+   of it are not, as a bit-by-bit walk would; a block or byte is only
+   skipped while no [f] runs. *)
 let iter f s =
   let words = s.words in
-  for k = 0 to Bytes.length words - 1 do
-    let j = ref 0 in
-    while !j < 8 && Char.code (Bytes.unsafe_get words k) lsr !j <> 0 do
-      if Char.code (Bytes.unsafe_get words k) land (1 lsl !j) <> 0 then
-        f ((k lsl 3) lor !j);
-      incr j
-    done
+  let len = Bytes.length words in
+  let k = ref 0 in
+  while !k < len do
+    if !k + 8 <= len && Bytes.get_int64_le words !k = 0L then k := !k + 8
+    else begin
+      let stop = min (!k + 8) len in
+      for b = !k to stop - 1 do
+        let j = ref 0 in
+        while !j < 8 && Char.code (Bytes.unsafe_get words b) lsr !j <> 0 do
+          if Char.code (Bytes.unsafe_get words b) land (1 lsl !j) <> 0 then
+            f ((b lsl 3) lor !j);
+          incr j
+        done
+      done;
+      k := stop
+    end
   done
 
 let fold f s init =

@@ -50,9 +50,9 @@ val subset : t -> t -> bool
 (** [subset a b] is true when every member of [a] is in [b]. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate members in increasing order, skipping empty bytes.  A
-    member that [f] adds beyond the one it is visiting is visited
-    later; one it removes there is not. *)
+(** Iterate members in increasing order, skipping all-zero 64-bit
+    blocks and empty bytes.  A member that [f] adds beyond the one it
+    is visiting is visited later; one it removes there is not. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

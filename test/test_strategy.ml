@@ -69,6 +69,25 @@ let test_schedule_s_too_small () =
     (Failure "Strategy.schedule: S too small for the operand set") (fun () ->
       ignore (Strategy.schedule g ~s:3))
 
+(* Input 1 has a predecessor, so the graph breaks the RBW convention:
+   [Cdag] accepts it and [Rbw_game.run] refuses it.  The convention is
+   a precondition on the graph, not a rule on the moves, so the
+   scheduler, the checker behind [io] and the belady row still play
+   it. *)
+let test_non_rbw_graph () =
+  let g = Cdag.retag (Dmc_gen.Shapes.chain 3) ~inputs:[ 1 ] ~outputs:[ 2 ] in
+  Alcotest.check_raises "run refuses the graph"
+    (Invalid_argument "Rbw_game.run: graph violates the RBW convention") (fun () ->
+      ignore (Rbw.run g ~s:2 []));
+  check "io" 2 (Strategy.io g ~s:2);
+  Alcotest.(check (list string))
+    "schedule"
+    [ "compute 0"; "delete 0"; "load 1"; "compute 2"; "delete 1"; "store 2"; "delete 2" ]
+    (List.map (Format.asprintf "%a" Dmc_core.Rb_game.pp_move) (Strategy.schedule g ~s:2));
+  let row = Dmc_core.Bounds.row g ~s:2 "belady" in
+  Alcotest.(check (option int)) "belady row" (Some 2) row.value;
+  Alcotest.(check string) "belady rung" "exact" row.rung
+
 let test_trivial_matches_formula () =
   List.iter
     (fun g ->
@@ -378,6 +397,7 @@ let () =
           Alcotest.test_case "custom order" `Quick test_schedule_custom_order;
           Alcotest.test_case "rejects bad orders" `Quick test_schedule_rejects_bad_orders;
           Alcotest.test_case "S too small" `Quick test_schedule_s_too_small;
+          Alcotest.test_case "graph outside the RBW convention" `Quick test_non_rbw_graph;
           Alcotest.test_case "eviction reuse distance" `Quick test_evict_distance;
         ] );
       ( "golden",

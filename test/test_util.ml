@@ -100,8 +100,8 @@ let bit_by_bit_iter f s =
 let prop_bitset_iter_bit_by_bit =
   QCheck.Test.make ~name:"iter visits what a bit-by-bit walk visits" ~count:300
     QCheck.(
-      triple (int_bound 150) (list small_nat)
-        (list (triple small_nat bool small_nat)))
+      triple (int_bound 599) (list (int_bound 700))
+        (list (triple (int_bound 700) bool (int_bound 700))))
     (fun (cap, members, edits) ->
       let cap = cap + 1 in
       let walk iter =
