@@ -253,38 +253,135 @@ let min_h_exact ?budget ?(max_nodes = 20_000_000) g ~s =
       color.(v) <- -1
     in
     let rec fits b used = b = used || (n_in.(b) <= s && n_out.(b) <= s && fits (b + 1) used) in
-    (* Assign vertices one at a time to an existing block or a fresh
-       one (canonical set-partition enumeration), so the blocks of a
-       complete assignment are exactly [0, used), none empty. *)
-    let rec assign i used =
+    let node () =
       (match budget with None -> () | Some b -> Budget.tick b);
       incr nodes;
       Dmc_obs.Counter.incr c_nodes;
       if !nodes > max_nodes then
         raise
           (Optimal.Too_large
-             (Printf.sprintf "Spartition.min_h_exact: more than %d search nodes" max_nodes));
+             (Printf.sprintf "Spartition.min_h_exact: more than %d search nodes" max_nodes))
+    in
+    (* Each leaf costs a fixed 1 + n/8 ticks, charged before its
+       verdict.  The charge was sized for the O(n + e) [check] every
+       leaf once ran; it no longer estimates the O(used) verdict, but it
+       stays so that node budgets, anytime values and the goldens do not
+       move. *)
+    let leaf () = match budget with None -> () | Some b -> Budget.tick_n b (1 + (n / 8)) in
+    (* Dead subtrees.  Below a prefix with a two-subset circuit no leaf
+       is valid: cross-edge counts only grow on the way down.  Nor below
+       a block with |In| > s when every non-input predecessor of a
+       compute vertex has a smaller id ([order] is 1; it is 0 until
+       [preds_first] checks the edges on first use, and 2 if one
+       descends): such a predecessor is assigned before its successor,
+       so it never joins the block later and |In| never shrinks.  [best]
+       cannot change below a dead prefix, so the subtree's size has a
+       closed form: with r vertices left and u < best blocks used,
+         N(r, u) = 1 + u * N(r-1, u) + N(r-1, u+1)
+       nodes, the same in ticks with a leaf costing 2 + n/8, and one
+       node and one tick once u >= best. *)
+    let order = ref 0 in
+    let preds_first () =
+      order := 1;
+      Cdag.iter_edges g (fun u v ->
+          if u > v && not (Cdag.is_input g u || Cdag.is_input g v) then order := 2);
+      !order = 1
+    in
+    (* [fits_subtree r u] computes N(r, u) and T(r, u) into [sub_nodes]
+       and [sub_ticks] when the subtree fits under [max_nodes] and does not
+       spend the node budget; it is false as soon as a shallower N(d, u)
+       or T(d, u), d <= r, does not fit (both grow with d once u >= 1).
+       Diagonal d holds N(j, u + d - j) for j = 0 .. d in [dn] (ticks in
+       [dt]), each entry built from the one before it and the previous
+       diagonal's; only the last [best - u] entries are not 1.  Entries
+       are capped at [sat], so [1 + k * a + b] (k < n') stays in range,
+       and a capped count never fits.  The limits only tighten as the
+       search goes on, so once N(d, u) or T(d, u) does not fit, no
+       N(r, u) with r >= d does while [best] stays: [too_big] keeps that
+       (u, d), and a walk down a subtree that does not fit costs O(1) per
+       level until r < d. *)
+    let sat = max_int / (n' + 2) in
+    let dn = Array.make (n' + 1) 0 and dt = Array.make (n' + 1) 0 in
+    let sub_nodes = ref 0 and sub_ticks = ref 0 and too_big = ref (0, max_int) in
+    let fits_subtree r u =
+      let lim = max_nodes - !nodes and span = !best - u in
+      let rec diagonal d =
+        let lo = Int.max 0 (d - span) in
+        let old_n = ref dn.(lo) and old_t = ref dt.(lo) in
+        dn.(lo) <- 1;
+        dt.(lo) <- (if u + d - lo < !best then 2 + (n / 8) else 1);
+        for j = lo + 1 to d do
+          let k = u + d - j and on = dn.(j) and ot = dt.(j) in
+          dn.(j) <- Int.min sat (1 + (k * !old_n) + dn.(j - 1));
+          dt.(j) <- Int.min sat (1 + (k * !old_t) + dt.(j - 1));
+          old_n := on;
+          old_t := ot
+        done;
+        let nd = dn.(d) and td = dt.(d) in
+        if
+          nd > lim || nd = sat || td = sat
+          || (match budget with None -> false | Some b -> Budget.spends_limit_within b td)
+        then begin
+          too_big := (u, d);
+          false
+        end
+        else if d = r then begin
+          sub_nodes := nd;
+          sub_ticks := td;
+          true
+        end
+        else diagonal (d + 1)
+      in
+      let u', d' = !too_big in
+      (u <> u' || r < d') && diagonal 0
+    in
+    (* Charge the dead subtree with [r] vertices left and [u] blocks
+       used: at once when it fits, else node by node as the enumeration
+       would (each child that fits again at once), so a node limit or
+       [max_nodes] trips at the same node with the same [spent]. *)
+    let rec dead r u =
+      if u >= !best then node ()
+      else if fits_subtree r u then begin
+        (match budget with None -> () | Some b -> Budget.replay b !sub_ticks);
+        nodes := !nodes + !sub_nodes;
+        Dmc_obs.Counter.add c_nodes !sub_nodes
+      end
+      else begin
+        node ();
+        if r = 0 then leaf ()
+        else
+          for c = 0 to u do
+            dead (r - 1) (Int.max u (c + 1))
+          done
+      end
+    in
+    (* Assign vertices one at a time to an existing block or a fresh
+       one (canonical set-partition enumeration), so the blocks of a
+       complete assignment are exactly [0, used), none empty. *)
+    let rec assign i used =
+      node ();
       if used >= !best then ()
       else if i = n' then begin
-        (* Each leaf costs a fixed 1 + n/8 ticks, charged before its
-           verdict.  The charge was sized for the O(n + e) [check] every
-           leaf once ran; it no longer estimates the O(used) verdict,
-           but it stays so that node budgets, anytime values and the
-           goldens do not move. *)
-        (match budget with None -> () | Some b -> Budget.tick_n b (1 + (n / 8)));
+        leaf ();
         if !circuits = 0 && fits 0 used then begin
           Dmc_obs.Histogram.observe h_block_count used;
-          best := used
+          best := used;
+          too_big := (0, max_int)
         end
       end
       else
-        for c = 0 to min used (n' - 1) do
+        for c = 0 to Int.min used (n' - 1) do
           if Array.length into.(c) = 0 then begin
             into.(c) <- Array.make n 0;
             cross.(c) <- Array.make n' 0
           end;
           add vs.(i) c;
-          assign (i + 1) (max used (c + 1));
+          let used' = Int.max used (c + 1) in
+          if
+            used' < !best
+            && (!circuits > 0 || (n_in.(c) > s && (!order = 1 || (!order = 0 && preds_first ()))))
+          then dead (n' - i - 1) used'
+          else assign (i + 1) used';
           remove vs.(i) c
         done
     in

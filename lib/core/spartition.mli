@@ -55,7 +55,19 @@ val min_h_exact : ?budget:Budget.t -> ?max_nodes:int -> Cdag.t -> s:int -> int
     O(blocks) — with the same verdict {!check} would give — and the
     state is O((n + n') * blocks opened).  Every search node ticks
     [budget] once and every complete assignment a fixed [1 + n/8]
-    more. *)
+    more.
+
+    A subtree from which no valid assignment is reachable is charged
+    without being enumerated: one below a prefix that already has a
+    two-subset circuit, or a block with [|In| > s] when every non-input
+    predecessor of a compute vertex has a smaller id (then [|In|] of a
+    block never shrinks further down).  Its nodes and ticks follow in
+    closed form and are charged as if enumerated, through
+    {!Budget.replay} and the ["spartition.nodes"] counter, so values,
+    {!Budget.spent}, node counts and the node at which [budget] or
+    [max_nodes] runs out are those of the full enumeration; on graphs
+    under 2 040 vertices, so is the number of cancellation polls.  A
+    subtree that would run out is walked node by node. *)
 
 val max_subset_exact : ?budget:Budget.t -> Cdag.t -> s:int -> int
 (** An upper bound on [U(S)] — the largest subset usable in any valid

@@ -116,27 +116,54 @@ let run_walk ?budget g w ~fire ~release =
       release i v preds)
     w.order
 
-(* The unpinned resident of [set] with the highest score: under Belady
-   the furthest next use, a dead value scoring [dead v]; under LRU the
-   oldest touch.  [-1] when every resident is pinned. *)
-let victim w policy ~dead set =
+(* The values resident in one fast memory of [s] words (its callers
+   make room before they admit): [slot.(v)] is [v]'s index in [dense],
+   or -1, so membership, admission and removal are O(1) and a victim
+   scan visits the at most [s] residents, not all [n] vertices. *)
+type resident = { slot : int array; dense : int array; mutable size : int }
+
+let resident n ~s = { slot = Array.make n (-1); dense = Array.make (min n s) 0; size = 0 }
+let is_resident r v = r.slot.(v) >= 0
+
+let admit r v =
+  if r.slot.(v) < 0 then begin
+    r.slot.(v) <- r.size;
+    r.dense.(r.size) <- v;
+    r.size <- r.size + 1
+  end
+
+let discard r v =
+  let i = r.slot.(v) in
+  if i >= 0 then begin
+    let last = r.dense.(r.size - 1) in
+    r.dense.(i) <- last;
+    r.slot.(last) <- i;
+    r.slot.(v) <- -1;
+    r.size <- r.size - 1
+  end
+
+(* The unpinned resident of [r] with the highest score, the smallest
+   vertex among equals: under Belady the furthest next use, a dead value
+   scoring [dead v]; under LRU the oldest touch.  [-1] when every
+   resident is pinned. *)
+let victim w policy ~dead r =
   let best = ref (-1) and best_score = ref min_int in
-  Bitset.iter
-    (fun v ->
-      if not (Bitset.mem w.pinned v) then begin
-        let score =
-          match policy with
-          | Belady ->
-              let nu = next_use w v in
-              if nu = no_use then dead v else nu
-          | Lru -> -w.last_use.(v)
-        in
-        if score > !best_score then begin
-          best_score := score;
-          best := v
-        end
-      end)
-    set;
+  for i = 0 to r.size - 1 do
+    let v = r.dense.(i) in
+    if not (Bitset.mem w.pinned v) then begin
+      let score =
+        match policy with
+        | Belady ->
+            let nu = next_use w v in
+            if nu = no_use then dead v else nu
+        | Lru -> -w.last_use.(v)
+      in
+      if score > !best_score || (score = !best_score && v < !best) then begin
+        best_score := score;
+        best := v
+      end
+    end
+  done;
   !best
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +214,7 @@ type 'm cache = {
   spell : 'm spelling;
   emit : 'm -> unit;
   w : walk;
-  red : Bitset.t array;
+  red : resident array;
   blue : Bitset.t;
   loaded : Bitset.t;
   dead : Cdag.vertex -> int;
@@ -199,7 +226,7 @@ let store c q v =
 
 let load c q v =
   c.emit (c.spell.load q v);
-  Bitset.add c.red.(q) v;
+  admit c.red.(q) v;
   Bitset.add c.loaded v
 
 (* Remove [v] from [q], storing it first when it is [live] or an output
@@ -207,7 +234,7 @@ let load c q v =
 let drop c q v ~live =
   if (live || Cdag.is_output c.g v) && not (Bitset.mem c.blue v) then store c q v;
   c.emit (c.spell.delete q v);
-  Bitset.remove c.red.(q) v
+  discard c.red.(q) v
 
 let evict c q =
   let v = victim c.w c.policy ~dead:c.dead c.red.(q) in
@@ -223,7 +250,7 @@ let evict c q =
   end;
   drop c q v ~live:(nu <> no_use)
 
-let make_room c q = while Bitset.cardinal c.red.(q) >= c.s do evict c q done
+let make_room c q = while c.red.(q).size >= c.s do evict c q done
 
 (* The first processor holding [v] red. *)
 let holder c what v =
@@ -233,7 +260,7 @@ let holder c what v =
       Budget.internal_error ~where:("Strategy." ^ c.name)
         "%s %d lost (n=%d, p=%d, s=%d, clock=%d)" what v (Cdag.n_vertices c.g) p c.s
         c.w.clock
-    else if Bitset.mem c.red.(r) v then r
+    else if is_resident c.red.(r) v then r
     else go (r + 1)
   in
   go 0
@@ -242,7 +269,7 @@ let holder c what v =
    resident on [q] still lives red on its producer: that processor
    publishes it (one store, the communication), then [q] loads it. *)
 let bring_in c q v =
-  if not (Bitset.mem c.red.(q) v) then begin
+  if not (is_resident c.red.(q) v) then begin
     if not (Bitset.mem c.blue v) then begin
       let r = holder c "operand" v in
       Dmc_obs.Counter.incr c_mp_remote;
@@ -254,13 +281,13 @@ let bring_in c q v =
   touch c.w v
 
 let release c q v =
-  if Bitset.mem c.red.(q) v && next_use c.w v = no_use then drop c q v ~live:false
+  if is_resident c.red.(q) v && next_use c.w v = no_use then drop c q v ~live:false
 
 (* Fire [v] on [q]: pin the operands already resident, fault the rest
    in, make room for the result. *)
 let compute mk c q v preds =
   let pinned = c.w.pinned in
-  List.iter (fun u -> if Bitset.mem c.red.(q) u then Bitset.add pinned u) preds;
+  List.iter (fun u -> if is_resident c.red.(q) u then Bitset.add pinned u) preds;
   List.iter
     (fun u ->
       bring_in c q u;
@@ -268,7 +295,7 @@ let compute mk c q v preds =
     preds;
   make_room c q;
   c.emit (mk q v);
-  Bitset.add c.red.(q) v;
+  admit c.red.(q) v;
   touch c.w v;
   List.iter (Bitset.remove pinned) preds
 
@@ -279,7 +306,7 @@ let absorb c _ v preds =
   let pinned = c.w.pinned in
   make_room c 0;
   c.emit (Pc_game.Begin v);
-  Bitset.add c.red.(0) v;
+  admit c.red.(0) v;
   Bitset.add pinned v;
   List.iter
     (fun u ->
@@ -310,7 +337,7 @@ let play ?budget ~name ~attrs ~sequential spell ?(policy = Belady) ?order g ~p ~
     {
       g; s; policy; name; sequential; spell; emit;
       w = walk g order;
-      red = Array.init p (fun _ -> Bitset.create n);
+      red = Array.init p (fun _ -> resident n ~s);
       blue;
       loaded = Bitset.create n;
       (* among dead values, prefer those that need no store *)
@@ -458,7 +485,7 @@ type level = {
   too_small : string;
   s1 : int;
   s2 : int;
-  cache : Bitset.t;
+  cache : resident;
   in_memory : Bitset.t;  (* at level 3; an input only once read *)
   emit : Prbw_game.move -> unit;
 }
@@ -467,7 +494,7 @@ let shared_level g w ~policy ~where ~too_small ~s1 ~s2 emit =
   let n = Cdag.n_vertices g in
   {
     g; w; policy; where; too_small; s1; s2; emit;
-    cache = Bitset.create n;
+    cache = resident n ~s:s2;
     in_memory = Bitset.create n;
   }
 
@@ -486,19 +513,19 @@ let evict_cache l =
     Bitset.add l.in_memory v
   end;
   l.emit (Prbw_game.Delete { level = 2; unit_id = 0; v });
-  Bitset.remove l.cache v
+  discard l.cache v
 
-let cache_room l = while Bitset.cardinal l.cache >= l.s2 do evict_cache l done
+let cache_room l = while l.cache.size >= l.s2 do evict_cache l done
 
 (* Write [v] down from a core's registers into the cache. *)
 let write_back l v =
   cache_room l;
   l.emit (Prbw_game.Move_down { level = 2; unit_id = 0; v });
-  Bitset.add l.cache v
+  admit l.cache v
 
 (* Stage [v] up from memory into the cache. *)
 let stage l v =
-  if not (Bitset.mem l.cache v) then begin
+  if not (is_resident l.cache v) then begin
     if Cdag.is_input l.g v && not (Bitset.mem l.in_memory v) then begin
       l.emit (Prbw_game.Input { unit_id = 0; v });
       Bitset.add l.in_memory v
@@ -509,14 +536,14 @@ let stage l v =
         l.s2 l.w.clock;
     cache_room l;
     l.emit (Prbw_game.Move_up { level = 2; unit_id = 0; v });
-    Bitset.add l.cache v
+    admit l.cache v
   end
 
 (* Drop [v] from the level-[level] [set] once dead, unless an output. *)
 let release_dead l ~level set v =
-  if Bitset.mem set v && next_use l.w v = no_use && not (Cdag.is_output l.g v) then begin
+  if is_resident set v && next_use l.w v = no_use && not (Cdag.is_output l.g v) then begin
     l.emit (Prbw_game.Delete { level; unit_id = 0; v });
-    Bitset.remove set v
+    discard set v
   end
 
 (* Outputs reach memory and receive blue pebbles, written back first
@@ -527,7 +554,7 @@ let finish_level l ~in_regs =
     (fun v ->
       if not (Cdag.is_input l.g v) then begin
         if not (Bitset.mem l.in_memory v) then begin
-          if not (Bitset.mem l.cache v) then begin
+          if not (is_resident l.cache v) then begin
             if not (in_regs v) then
               Budget.internal_error ~where:l.where "output %d lost (n=%d, s1=%d, s2=%d)"
                 v (Cdag.n_vertices l.g) l.s1 l.s2;
@@ -563,42 +590,42 @@ let hierarchical ?(policy = Belady) ?order g ~s1 ~s2 =
     shared_level g w ~policy ~where:"Strategy.hierarchical"
       ~too_small:"Strategy.hierarchical: capacities too small" ~s1 ~s2 emit
   in
-  let regs = Bitset.create (Cdag.n_vertices g) in
+  let regs = resident (Cdag.n_vertices g) ~s:s1 in
   (* Evict one register; live values retreat to the cache. *)
   let evict_regs () =
     let v = pick l regs in
-    if live l v && not (Bitset.mem l.cache v) && not (Bitset.mem l.in_memory v) then
+    if live l v && not (is_resident l.cache v) && not (Bitset.mem l.in_memory v) then
       write_back l v;
     emit (Prbw_game.Delete { level = 1; unit_id = 0; v });
-    Bitset.remove regs v
+    discard regs v
   in
-  let regs_room () = while Bitset.cardinal regs >= s1 do evict_regs () done in
+  let regs_room () = while regs.size >= s1 do evict_regs () done in
   (* Bring an operand into the registers, staging through the cache. *)
   let bring_in v =
-    if not (Bitset.mem regs v) then begin
+    if not (is_resident regs v) then begin
       stage l v;
       Bitset.add w.pinned v;
       regs_room ();
       emit (Prbw_game.Move_up { level = 1; unit_id = 0; v });
-      Bitset.add regs v
+      admit regs v
     end;
     Bitset.add w.pinned v;
     touch w v
   in
   run_walk g w
     ~fire:(fun _ v preds ->
-      List.iter (fun p -> if Bitset.mem regs p then Bitset.add w.pinned p) preds;
+      List.iter (fun p -> if is_resident regs p then Bitset.add w.pinned p) preds;
       List.iter bring_in preds;
       regs_room ();
       emit (Prbw_game.Compute { proc = 0; v });
-      Bitset.add regs v;
+      admit regs v;
       touch w v;
       List.iter (Bitset.remove w.pinned) preds)
     ~release:(fun _ v preds ->
       List.iter (release_dead l ~level:1 regs) preds;
       List.iter (release_dead l ~level:2 l.cache) preds;
       release_dead l ~level:1 regs v);
-  finish_level l ~in_regs:(Bitset.mem regs)
+  finish_level l ~in_regs:(is_resident regs)
 
 let smp_hierarchy ~cores ~s1 ~s2 =
   Hierarchy.create

@@ -22,7 +22,9 @@ module Hierarchy := Dmc_machine.Hierarchy
     giving its next use, its last touch for LRU, the pinned operands
     of the vertex in flight) and one victim rule (the unpinned resident
     with the furthest next use under Belady, the oldest touch under
-    LRU).  On these sits one p-processor policy cache: private fast
+    LRU, the smallest vertex among equals; a scan visits only the at
+    most S residents of a fast memory, not all n vertices).  On these
+    sits one p-processor policy cache: private fast
     memories over one slow memory, operands loaded on demand, live
     victims stored before eviction, dead values dropped eagerly,
     cross-processor values published through slow memory.  Its p = 1

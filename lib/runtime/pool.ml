@@ -194,6 +194,7 @@ type 'a t = {
   mutable next_id : int;  (* ids handed out so far *)
   mutable next_commit : int;  (* ordered mode: first uncommitted id *)
   mutable not_final : int;  (* jobs whose state is not yet Final *)
+  mutable waiting : int;  (* jobs whose state is Waiting *)
   mutable retries_total : int;
   started : float;
   mutable last_progress : float;
@@ -627,6 +628,7 @@ let create ?(ordered = true) ?(hosts = []) ?encode (cfg : config) ~worker
     next_id = 0;
     next_commit = 0;
     not_final = 0;
+    waiting = 0;
     retries_total = 0;
     started = Budget.now ();
     last_progress = neg_infinity;
@@ -670,6 +672,20 @@ let job_record t id =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Pool: unknown job id %d" id)
 
+(* Every state change after [submit] goes through here, so
+   [t.not_final] and [t.waiting] stay exact, and [step] scans the
+   records only when one of them may be due. *)
+let set_state t r state =
+  (match r.jstate with
+  | Waiting _ -> t.waiting <- t.waiting - 1
+  | Final _ -> t.not_final <- t.not_final + 1
+  | Queued | Running -> ());
+  (match state with
+  | Waiting _ -> t.waiting <- t.waiting + 1
+  | Final _ -> t.not_final <- t.not_final - 1
+  | Queued | Running -> ());
+  r.jstate <- state
+
 (* Mark a job final and commit whatever the ordering policy now
    allows.  Ordered mode releases the contiguous finalized prefix
    (submission-order commit — the byte-determinism contract); unordered
@@ -679,8 +695,7 @@ let job_record t id =
    forgets the whole record at the next [submit], so a daemon's handle
    does not grow with every query it has answered. *)
 let make_final t r o =
-  (match r.jstate with Final _ -> () | _ -> t.not_final <- t.not_final - 1);
-  r.jstate <- Final o;
+  set_state t r (Final o);
   Hashtbl.remove t.payloads r.jid;
   if t.ordered then begin
     let continue = ref true in
@@ -722,7 +737,7 @@ let reshard t r host =
     ~detail:(Printf.sprintf "lease taken back from %s" host.Host.name);
   r.jreshards <- r.jreshards + 1;
   r.jattempts <- max 0 (r.jattempts - 1);
-  r.jstate <- Queued;
+  set_state t r Queued;
   Queue.add r.jid t.queue
 
 (* Settle one reaped attempt.  Host health is folded in first; a
@@ -800,7 +815,7 @@ let settle t slot (verdict, hevent) =
       t.retries_total <- t.retries_total + 1;
       let delay = backoff_delay t.cfg ~job:r.jid ~attempt:r.jattempts in
       r.jbackoffs <- delay :: r.jbackoffs;
-      r.jstate <- Waiting (Budget.now () +. delay)
+      set_state t r (Waiting (Budget.now () +. delay))
     end
     else finalize t r verdict
   end
@@ -839,13 +854,15 @@ let dispatch t host id =
   Dmc_obs.Counter.incr c_dispatch;
   r.jattempts <- r.jattempts + 1;
   if Float.is_nan r.jfirst then r.jfirst <- Budget.now ();
-  r.jstate <- Running;
+  set_state t r Running;
   Host.lease host ~now:(Budget.now ());
-  instant ~name:"host.lease" ~host
-    [ ("job", string_of_int id); ("attempt", string_of_int r.jattempts) ];
-  Dmc_obs.Registry.flight_note ~kind:"dispatch"
-    ~name:(Printf.sprintf "job %d" id)
-    ~detail:(Printf.sprintf "attempt %d @%s" r.jattempts host.Host.name);
+  if Dmc_obs.Registry.is_enabled () then begin
+    instant ~name:"host.lease" ~host
+      [ ("job", string_of_int id); ("attempt", string_of_int r.jattempts) ];
+    Dmc_obs.Registry.flight_note ~kind:"dispatch"
+      ~name:(Printf.sprintf "job %d" id)
+      ~detail:(Printf.sprintf "attempt %d @%s" r.jattempts host.Host.name)
+  end;
   let slot = spawn t ~host ~job:id ~attempt:r.jattempts in
   t.in_flight <- slot :: t.in_flight
 
@@ -862,16 +879,15 @@ let cancel_pending t =
     let elapsed =
       if Float.is_nan r.jfirst then 0. else Budget.now () -. r.jfirst
     in
-    (match r.jstate with Final _ -> () | _ -> t.not_final <- t.not_final - 1);
     Hashtbl.remove t.payloads r.jid;
-    r.jstate <-
-      Final
-        {
-          verdict = Engine_failure Budget.Cancelled;
-          attempts = r.jattempts;
-          backoffs = List.rev r.jbackoffs;
-          elapsed;
-        }
+    set_state t r
+      (Final
+         {
+           verdict = Engine_failure Budget.Cancelled;
+           attempts = r.jattempts;
+           backoffs = List.rev r.jbackoffs;
+           elapsed;
+         })
   in
   if t.ordered then
     for id = t.next_commit to t.next_id - 1 do
@@ -988,14 +1004,15 @@ let emit_progress t =
 let step ?(max_wait = 0.2) t =
   let now = Budget.now () in
   (* Promote retry-waits whose backoff has elapsed. *)
-  Hashtbl.iter
-    (fun id r ->
-      match r.jstate with
-      | Waiting tm when tm <= now ->
-          r.jstate <- Queued;
-          Queue.add id t.queue
-      | _ -> ())
-    t.jobs;
+  if t.waiting > 0 then
+    Hashtbl.iter
+      (fun id r ->
+        match r.jstate with
+        | Waiting tm when tm <= now ->
+            set_state t r Queued;
+            Queue.add id t.queue
+        | _ -> ())
+      t.jobs;
   (* Fill free leases (unless draining).  The loop ends when the queue
      empties or no host can take another lease right now. *)
   let continue = ref true in
@@ -1013,9 +1030,10 @@ let step ?(max_wait = 0.2) t =
     let horizon = ref max_wait in
     let shrink tm = if tm -. now < !horizon then horizon := tm -. now in
     List.iter (fun slot -> Option.iter shrink slot.deadline) t.in_flight;
-    Hashtbl.iter
-      (fun _ r -> match r.jstate with Waiting tm -> shrink tm | _ -> ())
-      t.jobs;
+    if t.waiting > 0 then
+      Hashtbl.iter
+        (fun _ r -> match r.jstate with Waiting tm -> shrink tm | _ -> ())
+        t.jobs;
     if not (Queue.is_empty t.queue) then
       List.iter (fun h -> Option.iter shrink (Host.next_wakeup h)) t.hosts;
     Float.max 0.0 !horizon

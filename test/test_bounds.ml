@@ -192,19 +192,28 @@ let test_check_many_blocks () =
   check_bool "well under a second" true (Unix.gettimeofday () -. t0 < 0.5)
 
 (* The exact 2S-partition search as it stood before incremental leaf
-   validity, re-validating every complete assignment with [check]: the
-   reference [min_h_exact] is pinned against. *)
+   validity, re-validating every complete assignment with [check] and
+   enumerating every node: the reference [min_h_exact] is pinned
+   against.  [reference_nodes] counts its [assign] calls. *)
 let h_block_count = Dmc_obs.Histogram.make "spartition.block_count"
+let c_nodes = Dmc_obs.Counter.make "spartition.nodes"
+let reference_nodes = ref 0
 
-let reference_min_h ~budget g ~s =
+let reference_min_h ?(max_nodes = 20_000_000) ~budget g ~s =
   let vs =
     Cdag.fold_vertices g (fun acc v -> if Cdag.is_input g v then acc else v :: acc) []
     |> List.rev |> Array.of_list
   in
   let n' = Array.length vs and n = Cdag.n_vertices g in
   let color = Array.make n (-1) and best = ref n' in
+  reference_nodes := 0;
   let rec assign i used =
     Budget.tick budget;
+    incr reference_nodes;
+    if !reference_nodes > max_nodes then
+      raise
+        (Optimal.Too_large
+           (Printf.sprintf "Spartition.min_h_exact: more than %d search nodes" max_nodes));
     if used >= !best then ()
     else if i = n' then begin
       Budget.tick_n budget (1 + (n / 8));
@@ -224,12 +233,26 @@ let reference_min_h ~budget g ~s =
   if n' > 0 then assign 0 0;
   !best
 
-let incremental_min_h ~budget g ~s = Spartition.min_h_exact ~budget g ~s
+(* Each search with its own count of the nodes it expanded. *)
+let reference ?max_nodes () =
+  (reference_min_h ?max_nodes, fun () -> !reference_nodes)
 
-(* A search's value or failure, ticks spent, and block-count
-   observations (count and sum), with instrumentation on. *)
-let search_trace search ?nodes g ~s =
-  let budget = Budget.create ?nodes () in
+let incremental ?max_nodes () =
+  ( (fun ~budget g ~s -> Spartition.min_h_exact ?max_nodes ~budget g ~s),
+    fun () -> Dmc_obs.Counter.value c_nodes )
+
+(* A search's value or failure, ticks spent, nodes expanded, calls of a
+   cancellation hook that never cancels, and block-count observations
+   (count and sum), with instrumentation on. *)
+let search_trace (search, nodes_expanded) ?nodes g ~s =
+  let polls = ref 0 in
+  let budget =
+    Budget.create ?nodes
+      ~cancel:(fun () ->
+        incr polls;
+        false)
+      ()
+  in
   Dmc_obs.Registry.reset ();
   Dmc_obs.Registry.set_enabled true;
   let value =
@@ -237,16 +260,19 @@ let search_trace search ?nodes g ~s =
     match search ~budget g ~s with
     | h -> Printf.sprintf "h=%d" h
     | exception Budget.Exhausted f -> Budget.failure_to_string f
+    | exception Optimal.Too_large m -> m
   in
-  Printf.sprintf "%s spent=%d leaves=%d sum=%d" value (Budget.spent budget)
+  Printf.sprintf "%s spent=%d nodes=%d polls=%d leaves=%d sum=%d" value
+    (Budget.spent budget) (nodes_expanded ()) !polls
     (Dmc_obs.Histogram.count h_block_count)
     (Dmc_obs.Histogram.sum h_block_count)
 
 let pinned ?nodes g ~s =
-  search_trace incremental_min_h ?nodes g ~s = search_trace reference_min_h ?nodes g ~s
+  search_trace (incremental ()) ?nodes g ~s = search_trace (reference ()) ?nodes g ~s
 
 (* The same graph with vertex ids reversed, so the search also assigns
-   successors before their predecessors. *)
+   successors before their predecessors (and may not use the |In|
+   rule for dead subtrees). *)
 let reversed g =
   let n = Cdag.n_vertices g in
   let b = Cdag.Builder.create () in
@@ -301,16 +327,67 @@ let prop_min_h_budget_cut =
       let full = Budget.create () in
       ignore (Spartition.min_h_exact ~budget:full g ~s);
       let nodes = 1 + Rng.int rng (Budget.spent full) in
-      let trace = search_trace incremental_min_h ~nodes g ~s in
+      let trace = search_trace (incremental ()) ~nodes g ~s in
       String.starts_with ~prefix:"budget-exhausted" trace
-      && trace = search_trace reference_min_h ~nodes g ~s)
+      && trace = search_trace (reference ()) ~nodes g ~s)
+
+(* The same cut on graphs of 20-40 vertices, whose searches run out far
+   from the root, mostly inside dead subtrees: the node or budget limit
+   must trip at the same node in both vertex orders.  A search that
+   outlasts [cap] ticks spends more than any budget drawn here. *)
+let prop_min_h_budget_cut_large =
+  QCheck.Test.make ~name:"min_h = leaf-check search, budget cut on 20-40 vertices"
+    ~count:12 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        Dmc_gen.Random_dag.daggen rng ~n:(20 + Rng.int rng 21) ~fat:0.5 ~density:0.4 ~ccr:1
+      in
+      let s = 2 + Rng.int rng 6 and cap = 40_000 in
+      List.for_all
+        (fun g ->
+          let full = Budget.create ~nodes:cap () in
+          let spent =
+            match Spartition.min_h_exact ~budget:full g ~s with
+            | _ -> Budget.spent full
+            | exception Budget.Exhausted _ -> cap
+          in
+          let nodes = 1 + Rng.int rng spent in
+          let trace = search_trace (incremental ()) ~nodes g ~s in
+          String.starts_with ~prefix:"budget-exhausted" trace
+          && trace = search_trace (reference ()) ~nodes g ~s)
+        [ g; reversed g ])
+
+(* The [max_nodes] guard, set below the full search's node count, trips
+   at the same node with the same text in both vertex orders. *)
+let prop_min_h_max_nodes =
+  QCheck.Test.make ~name:"min_h = leaf-check search, max_nodes guard" ~count:12
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        Dmc_gen.Random_dag.daggen rng ~n:(20 + Rng.int rng 21) ~fat:0.5 ~density:0.4 ~ccr:1
+      in
+      let s = 2 + Rng.int rng 6 in
+      List.for_all
+        (fun g ->
+          (* the full search's node count, or 5 001 when it is larger *)
+          (match reference_min_h ~max_nodes:5_000 ~budget:(Budget.create ()) g ~s with
+          | _ -> ()
+          | exception Optimal.Too_large _ -> ());
+          let max_nodes = 1 + Rng.int rng (!reference_nodes - 1) in
+          let trace = search_trace (incremental ~max_nodes ()) g ~s in
+          let text = Printf.sprintf "Spartition.min_h_exact: more than %d search nodes" in
+          String.starts_with ~prefix:(text max_nodes) trace
+          && trace = search_trace (reference ~max_nodes ()) g ~s)
+        [ g; reversed g ])
 
 (* [pinned] as an Alcotest check, so a mismatch prints both traces. *)
 let check_pinned label ~nodes g ~s =
   Alcotest.(check string)
     (label ^ ": incremental = leaf-check search")
-    (search_trace reference_min_h ~nodes g ~s)
-    (search_trace incremental_min_h ~nodes g ~s)
+    (search_trace (reference ()) ~nodes g ~s)
+    (search_trace (incremental ()) ~nodes g ~s)
 
 let test_min_h_multigrid_pinned () =
   let spec = "multigrid:33,3,2" in
@@ -776,6 +853,8 @@ let () =
           prop_min_h_pinned_layered;
           prop_min_h_pinned_daggen;
           prop_min_h_budget_cut;
+          prop_min_h_budget_cut_large;
+          prop_min_h_max_nodes;
         ];
       qsuite "certify-props" [ prop_certify_wavefront ];
       qsuite "wavefront-structural" [ prop_wavefront_sound_structural ];
