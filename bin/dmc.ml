@@ -50,7 +50,7 @@ let install_interrupt_handlers () =
   Sys.set_signal Sys.sigterm (handle Sys.sigterm)
 
 (* ------------------------------------------------------------------ *)
-(* Worker-pool plumbing shared by bounds/experiment.                  *)
+(* Worker-pool plumbing shared by bounds, experiment and sweep.        *)
 
 let parse_faults = function
   | None -> Dmc_runtime.Fault.of_env ()
@@ -59,19 +59,34 @@ let parse_faults = function
       | Ok faults -> Dmc_runtime.Fault.of_env () @ faults
       | Error msg -> failwith msg)
 
+(* The pool config the run-control flags describe; a SIGINT/SIGTERM
+   stops the pool. *)
+let pool_config ~jobs ~job_timeout ~retries ~faults ~progress =
+  {
+    Dmc_runtime.Pool.default with
+    jobs;
+    timeout = job_timeout;
+    max_retries = retries;
+    faults;
+    should_stop = (fun () -> !interrupted <> None);
+    on_progress = (if progress then Some Dmc_runtime.Progress.draw else None);
+  }
+
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Number of supervised worker processes.  With N > 1 each unit \
-               (engine ladder for $(b,bounds), experiment for \
-               $(b,experiment)) runs in its own forked child under a hard \
-               deadline; results are committed in submission order, so the \
-               output is byte-identical to a sequential run.")
+         ~doc:"Number of supervised worker processes.  Experiment parts, \
+               sweep rows and $(b,bounds --stream) windows always run in \
+               forked workers, N at a time; the governed and $(b,-p) rows \
+               of $(b,bounds) do when N > 1 or another run-control flag is \
+               given.  Results are committed in submission order, so the \
+               output is byte-identical at every N.")
 
 let job_timeout_arg =
   Arg.(value & opt (some float) None & info [ "job-timeout" ] ~docv:"SECONDS"
          ~doc:"Hard per-attempt wall-clock deadline for each worker: the \
                supervisor SIGKILLs an attempt that overruns (no reliance on \
-               cooperative budget polling) and degrades or retries it.")
+               cooperative budget polling) and degrades or retries it.  \
+               For $(b,bounds --stream), the deadline of each window.")
 
 let retries_arg =
   Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N"
@@ -118,9 +133,10 @@ let s_arg =
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
          ~doc:"Wall-clock budget. For $(b,bounds): per engine ladder rung, with \
-               graceful degradation down the fallback ladder instead of failure. \
-               For $(b,experiment): overall; the run checkpoints and stops \
-               cleanly between experiments when it expires.")
+               graceful degradation down the fallback ladder instead of failure \
+               ($(b,--stream) does not read it).  For $(b,experiment): \
+               overall; the run checkpoints and stops cleanly between \
+               experiments when it expires.")
 
 let node_budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"NODES"
@@ -130,9 +146,10 @@ let node_budget_arg =
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write a Chrome trace-event JSON timeline of the run to $(docv) \
-               (loadable in chrome://tracing or Perfetto). For $(b,bounds) this \
-               implies the supervised pool path, so per-worker spans are merged \
-               into the trace under their job's lane.")
+               (loadable in chrome://tracing or Perfetto). For the governed \
+               and $(b,-p) rows of $(b,bounds) this implies the supervised \
+               pool path, so per-worker spans are merged into the trace \
+               under their job's lane.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -147,8 +164,9 @@ let progress_arg =
          ~doc:"Render a live progress line on stderr while the supervised \
                pool runs: jobs done/running/retrying, the running workers' \
                current phase (from heartbeats), an ETA and resident memory. \
-               Implies the pool path; stdout is untouched, so output and \
-               checkpoints stay byte-identical with it on or off.")
+               Implies the pool path for the governed and $(b,-p) rows of \
+               $(b,bounds); stdout is untouched, so output and checkpoints \
+               stay byte-identical with it on or off.")
 
 let setup_obs ~trace ~profile =
   if trace <> None || profile then Dmc_obs.Registry.set_enabled true
@@ -204,20 +222,11 @@ let bounds_pooled ~jobs ~job_timeout ~retries ~faults ~progress ?timeout
     in
     List.map (fun name -> { base with Dmc_core.Engine_job.engine = name }) names
   in
-  let cfg =
-    {
-      Pool.default with
-      jobs;
-      timeout = job_timeout;
-      max_retries = retries;
-      faults;
-      should_stop = (fun () -> !interrupted <> None);
-      on_progress =
-        (if progress then Some Dmc_runtime.Progress.draw else None);
-    }
-  in
   let outcomes =
-    Pool.run cfg ~worker:(fun _ job -> Dmc_core.Engine_job.run job) engine_jobs
+    Pool.run
+      (pool_config ~jobs ~job_timeout ~retries ~faults ~progress)
+      ~worker:(fun _ job -> Dmc_core.Engine_job.run job)
+      engine_jobs
   in
   if progress then Dmc_runtime.Progress.clear ();
   List.mapi
@@ -335,9 +344,8 @@ let bounds_cmd =
         | Error m -> failwith m
       in
       let r =
-        if jobs > 1 then
-          Dmc_core.Streaming.wavefront_sum_pooled ?window ?timeout ~jobs imp ~s
-        else Dmc_core.Streaming.wavefront_sum ?window imp ~s
+        Dmc_core.Streaming.wavefront_sum_pooled ?window ?timeout:job_timeout
+          ~retries ~jobs imp ~s
       in
       (if json then
          print_endline
@@ -362,16 +370,21 @@ let bounds_cmd =
     end;
     let faults = parse_faults fault in
     let g = load_cdag ~spec ~file in
-    (* Run-control flags route every row through the pool, sequential
-       or -p alike: the supervised path is the instrumented one, and
-       running it even at --jobs 1 keeps the counter profile identical
-       across widths.  Otherwise a resource budget switches to the
-       governed path: every engine runs under its own guard and
-       degrades down a fallback ladder instead of failing, so the
-       command always exits 0 with a status per engine. *)
+    (* Only the flags that say what to compute pick the mode.  A
+       resource budget (or --governed) selects the governed rows: every
+       engine runs under its own guard and degrades down a fallback
+       ladder instead of failing, so the command always exits 0 with a
+       status per engine.  -p selects the mp/pc rows.  Without any of
+       them the raising report runs in-process and reads no run-control
+       flag.  In the row modes, run-control flags route every row
+       through the pool: the supervised path is the instrumented one,
+       and running it even at --jobs 1 keeps the counter profile
+       identical across widths. *)
+    let governed = governed || timeout <> None || node_budget <> None in
     let pooled =
-      jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
-      || profile || progress
+      (governed || p <> None)
+      && (jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
+         || profile || progress)
     in
     (* one wavefront record, replayed by every row that reads it *)
     let rows ~p names =
@@ -425,7 +438,7 @@ let bounds_cmd =
     | None when pooled ->
         print_governed
           (Dmc_core.Bounds.assemble_governed g ~s (rows ~p:1 (engine_names is_seq)))
-    | None when governed || timeout <> None || node_budget <> None ->
+    | None when governed ->
         print_governed (Dmc_core.Bounds.analyze_governed ?timeout ?node_budget g ~s)
     | None ->
         let report =
@@ -489,9 +502,11 @@ let bounds_cmd =
            ~doc:"Streamed Theorem-2 sweep: enumerate the (implicit) \
                  generator window by window, bound each window with the \
                  wavefront engine, and sum.  Memory stays proportional to \
-                 one window; $(b,--jobs) fans the windows over fork \
-                 workers with byte-identical totals at any width.  \
-                 Requires $(b,--gen).")
+                 one window.  The windows run on fork workers, \
+                 $(b,--jobs) at a time, each under the $(b,--job-timeout) \
+                 deadline and with $(b,--retries) retries, with \
+                 byte-identical totals at any width.  Requires \
+                 $(b,--gen).")
   in
   let window_arg =
     Arg.(value & opt (some int) None & info [ "window" ] ~docv:"N"
@@ -803,8 +818,8 @@ let bench_diff_cmd =
 (* dmc experiment                                                     *)
 
 (* A flat, serializable unit of experiment work: one part of one
-   experiment.  Units are committed in submission order whichever path
-   (sequential, pool, resume) produced them, so the assembled
+   experiment.  Units are committed in submission order whether the
+   pool or a resumed checkpoint produced them, so the assembled
    documents — and every rendering — are byte-identical across --jobs
    widths and across kill/resume. *)
 type experiment_unit = {
@@ -824,96 +839,12 @@ let experiment_units selected =
         e.parts)
     selected
 
-let experiment_ckpt_version = 2
-
-let experiment_checkpoint ~selected ~done_rev =
-  let module J = Dmc_util.Json in
-  J.Obj
-    [
-      ("kind", J.String "dmc-experiment");
-      ("v", J.Int experiment_ckpt_version);
-      ( "names",
-        J.List
-          (List.map
-             (fun (e : Dmc_analysis.Experiment.t) -> J.String e.name)
-             selected) );
-      ( "parts",
-        J.List
-          (List.rev_map
-             (fun (exp, part, payload) ->
-               J.Obj
-                 [
-                   ("exp", J.String exp);
-                   ("part", J.String part);
-                   ("payload", payload);
-                 ])
-             done_rev) );
-    ]
-
-let experiment_restore path ~selected ~units =
-  let module J = Dmc_util.Json in
-  match Dmc_util.Checkpoint.load path with
-  | Error msg -> failwith (Printf.sprintf "cannot resume from %s: %s" path msg)
-  | Ok ckpt ->
-      (match Option.bind (J.mem ckpt "kind") J.as_string with
-      | Some "dmc-experiment" -> ()
-      | _ -> failwith (path ^ ": not a dmc-experiment checkpoint"));
-      (match Option.bind (J.mem ckpt "v") J.as_int with
-      | Some v when v = experiment_ckpt_version -> ()
-      | Some v ->
-          failwith
-            (Printf.sprintf
-               "%s: checkpoint schema v%d, this build reads v%d; regenerate \
-                with --checkpoint" path v experiment_ckpt_version)
-      | None ->
-          failwith
-            (path
-           ^ ": checkpoint predates the structured v2 schema (it stores \
-              captured stdout, not part payloads); regenerate with \
-              --checkpoint"));
-      let stored_names =
-        match Option.bind (J.mem ckpt "names") J.as_list with
-        | Some l -> List.filter_map J.as_string l
-        | None -> []
-      in
-      let sel_names =
-        List.map (fun (e : Dmc_analysis.Experiment.t) -> e.name) selected
-      in
-      if stored_names <> sel_names then
-        failwith
-          (Printf.sprintf
-             "%s: checkpoint is for experiments [%s], this run selects [%s]"
-             path
-             (String.concat " " stored_names)
-             (String.concat " " sel_names));
-      let completed =
-        match Option.bind (J.mem ckpt "parts") J.as_list with
-        | Some l ->
-            List.filter_map
-              (fun entry ->
-                match
-                  ( Option.bind (J.mem entry "exp") J.as_string,
-                    Option.bind (J.mem entry "part") J.as_string,
-                    J.mem entry "payload" )
-                with
-                | Some exp, Some part, Some payload -> Some (exp, part, payload)
-                | _ -> None)
-              l
-        | None -> []
-      in
-      (* The checkpoint must be a prefix of the unit list, in order. *)
-      let rec check_prefix done_ us =
-        match (done_, us) with
-        | [], _ -> ()
-        | (exp, part, _) :: dt, u :: ut when exp = u.u_exp && part = u.u_part ->
-            check_prefix dt ut
-        | (exp, part, _) :: _, _ ->
-            failwith
-              (Printf.sprintf "%s: completed part %s/%s out of order" path exp
-                 part)
-      in
-      check_prefix completed units;
-      completed
+(* v3: the shared committed-prefix codec, keyed by the selected
+   experiment names.  The key fixes the unit list only while each
+   experiment's parts stay the same, so a change to them bumps the
+   version. *)
+let experiment_ckpt_kind = "dmc-experiment"
+let experiment_ckpt_version = 3
 
 let experiment_cmd =
   let run names json md timeout checkpoint resume jobs job_timeout retries
@@ -943,9 +874,16 @@ let experiment_cmd =
                              registry))))
             names
     in
+    let module Ckpt = Dmc_util.Checkpoint in
     let units = experiment_units selected in
     let unit_arr = Array.of_list units in
     let total = List.length units in
+    let key =
+      Dmc_util.Json.List
+        (List.map
+           (fun (e : Dmc_analysis.Experiment.t) -> Dmc_util.Json.String e.name)
+           selected)
+    in
     let ckpt_path =
       match (checkpoint, resume) with
       | Some p, _ -> Some p
@@ -955,13 +893,21 @@ let experiment_cmd =
     let completed =
       match resume with
       | None -> []
-      | Some path -> experiment_restore path ~selected ~units
+      | Some path -> (
+          match
+            Result.bind (Ckpt.load path)
+              (Ckpt.read_prefix ~kind:experiment_ckpt_kind
+                 ~version:experiment_ckpt_version ~key ~units:total)
+          with
+          | Ok payloads -> payloads
+          | Error msg ->
+              failwith (Printf.sprintf "cannot resume from %s: %s" path msg))
     in
     if completed <> [] then
       Format.eprintf "dmc: resuming, %d part(s) already done@."
         (List.length completed);
     let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-    let done_rev = ref [] in
+    let committed_rev = ref [] in
     let all_ok = ref true in
     let docs_rev = ref [] in
     (* Payloads of the experiment currently being filled, newest first.
@@ -991,159 +937,127 @@ let experiment_cmd =
                 name (Printexc.to_string exn))
     in
     (* Commit one finished unit: accumulate its payload, render the
-       experiment once its last part lands, then checkpoint.  Both
-       execution paths funnel through here in unit order, so stdout
-       and the checkpoint are byte-identical whichever path — and
-       however many workers — produced the payloads. *)
+       experiment once its last part lands, then checkpoint.  Resumed
+       and pooled units funnel through here in unit order, so stdout
+       and the checkpoint are byte-identical however many workers
+       produced the payloads. *)
     let commit_unit ?(write = true) u payload =
-      done_rev := (u.u_exp, u.u_part, payload) :: !done_rev;
+      committed_rev := payload :: !committed_rev;
       pending_payloads := payload :: !pending_payloads;
       if u.u_last then finalize_experiment u.u_exp;
       if write then
         Option.iter
           (fun p ->
-            Dmc_util.Checkpoint.write p
-              (experiment_checkpoint ~selected ~done_rev:!done_rev))
+            Ckpt.write p
+              (Ckpt.prefix ~kind:experiment_ckpt_kind
+                 ~version:experiment_ckpt_version ~key
+                 (List.rev !committed_rev)))
           ckpt_path
     in
     (* Replay checkpointed payloads through the same commit path, so a
        resumed run renders completed experiments identically. *)
     List.iteri
-      (fun i (_, _, payload) -> commit_unit ~write:false unit_arr.(i) payload)
+      (fun i payload -> commit_unit ~write:false unit_arr.(i) payload)
       completed;
     let n_completed = List.length completed in
     let remaining = List.filteri (fun i _ -> i >= n_completed) units in
-    let resume_hint () =
-      (* Only point at a checkpoint that actually exists: a run
-         stopped before its first committed unit never wrote one. *)
-      match ckpt_path with
-      | Some p when Sys.file_exists p ->
-          Printf.sprintf "; resume with --resume %s" p
-      | Some _ | None -> ""
+    (* One forked worker per part at every --jobs width.  A worker lost
+       to a crash, hard kill or protocol break degrades to an
+       in-process rerun of the same part, so every unit still yields a
+       payload.  The unit crosses the fork as data: the worker
+       re-resolves the part by (experiment, part) name through the
+       registry, so the job it runs is exactly the serializable
+       Part_job record. *)
+    let module Pool = Dmc_runtime.Pool in
+    let worker _ u =
+      match Dmc_analysis.Part_job.run { exp = u.u_exp; part = u.u_part } with
+      | Ok payload -> Ok payload
+      | Error msg -> Error (Dmc_util.Budget.Invalid_input msg)
     in
-    let finish ~stopped_early =
-      emit_obs ~trace ~profile;
-      (match !interrupted with
-      | Some _ ->
-          Format.eprintf "dmc: interrupted after %d/%d part(s)%s@."
-            (List.length !done_rev) total (resume_hint ());
-          exit (interrupt_exit_code ())
-      | None -> ());
-      if stopped_early then begin
-        Format.eprintf "dmc: timeout reached after %d/%d part(s)%s@."
-          (List.length !done_rev) total (resume_hint ());
-        exit 0
-      end;
-      (match mode with
-      | `Text ->
-          Printf.printf "\nOVERALL: %s\n"
-            (if !all_ok then "ALL CHECKS PASSED" else "SOME CHECKS FAILED")
-      | `Md ->
-          Printf.printf "\n---\n\n**OVERALL:** %s\n"
-            (if !all_ok then "ALL CHECKS PASSED" else "SOME CHECKS FAILED")
-      | `Json ->
-          let module J = Dmc_util.Json in
-          print_string
-            (J.to_string
-               (J.Obj
-                  [
-                    ("kind", J.String "dmc-experiment-report");
-                    ("v", J.Int experiment_ckpt_version);
-                    ("ok", J.Bool !all_ok);
-                    ("experiments", J.List (List.rev !docs_rev));
-                  ]));
-          print_newline ());
-      if not !all_ok then exit 1
-    in
-    if jobs > 1 || faults <> [] || job_timeout <> None || trace <> None
-       || profile || progress
-    then begin
-      (* Supervised path: one forked worker per part, committed in
-         submission order.  A worker lost to a crash, hard kill or
-         protocol break degrades to an in-process rerun of the same
-         part, so every unit still yields a payload.  Tracing,
-         profiling and progress imply this path even at --jobs 1, so
-         the pool.* counter set — and hence the profile — is identical
-         across widths. *)
-      let module Pool = Dmc_runtime.Pool in
-      let arr = Array.of_list remaining in
-      (* The unit crosses the fork as data: the worker re-resolves the
-         part by (experiment, part) name through the registry, so the
-         job it runs is exactly the serializable Part_job record the
-         checkpoint stores. *)
-      let worker _ u =
-        match
-          Dmc_analysis.Part_job.run { exp = u.u_exp; part = u.u_part }
-        with
-        | Ok payload -> Ok payload
-        | Error msg -> Error (Dmc_util.Budget.Invalid_input msg)
-      in
-      let cfg =
-        {
-          Pool.default with
-          jobs;
-          timeout = job_timeout;
-          max_retries = retries;
-          faults;
-          should_stop = (fun () -> !interrupted <> None);
-          accept_more =
-            (fun () ->
-              match deadline with
-              | None -> true
-              | Some d -> Unix.gettimeofday () <= d);
-          on_progress =
-            (if progress then Some Dmc_runtime.Progress.draw else None);
-        }
-      in
-      let on_result i outcome =
-        let u = arr.(i) in
-        let payload =
-          match outcome.Pool.verdict with
-          | Pool.Done payload -> Some payload
-          | v -> (
-              Format.eprintf
-                "dmc: experiment %s part %s: worker %s; degrading to an \
-                 in-process run@."
-                u.u_exp u.u_part
-                (Pool.verdict_to_string v);
-              match u.u_run () with
-              | payload -> Some payload
-              | exception exn ->
-                  Format.eprintf
-                    "dmc: experiment %s part %s: in-process fallback failed \
-                     too: %s@."
-                    u.u_exp u.u_part (Printexc.to_string exn);
-                  None)
-        in
-        match payload with
-        | Some payload -> commit_unit u payload
-        | None ->
-            all_ok := false;
-            commit_unit u Dmc_util.Json.Null
-      in
-      let outcomes = Pool.run cfg ~worker ~on_result remaining in
-      if progress then Dmc_runtime.Progress.clear ();
-      let cancelled =
-        Array.exists
-          (fun o ->
-            match o.Pool.verdict with
-            | Pool.Engine_failure Dmc_util.Budget.Cancelled -> true
-            | _ -> false)
-          outcomes
-      in
-      finish ~stopped_early:(cancelled && !interrupted = None)
-    end
-    else begin
-      let timed_out = ref false in
-      List.iter
-        (fun u ->
-          if (not !timed_out) && !interrupted = None then
+    let cfg =
+      {
+        (pool_config ~jobs ~job_timeout ~retries ~faults ~progress) with
+        accept_more =
+          (fun () ->
             match deadline with
-            | Some d when Unix.gettimeofday () > d -> timed_out := true
-            | _ -> commit_unit u (u.u_run ()))
-        remaining;
-      finish ~stopped_early:!timed_out
-    end
+            | None -> true
+            | Some d -> Unix.gettimeofday () <= d);
+      }
+    in
+    let on_result i outcome =
+      let u = unit_arr.(n_completed + i) in
+      let payload =
+        match outcome.Pool.verdict with
+        | Pool.Done payload -> Some payload
+        | v -> (
+            Format.eprintf
+              "dmc: experiment %s part %s: worker %s; degrading to an \
+               in-process run@."
+              u.u_exp u.u_part
+              (Pool.verdict_to_string v);
+            match u.u_run () with
+            | payload -> Some payload
+            | exception exn ->
+                Format.eprintf
+                  "dmc: experiment %s part %s: in-process fallback failed \
+                   too: %s@."
+                  u.u_exp u.u_part (Printexc.to_string exn);
+                None)
+      in
+      match payload with
+      | Some payload -> commit_unit u payload
+      | None ->
+          all_ok := false;
+          commit_unit u Dmc_util.Json.Null
+    in
+    let outcomes = Pool.run cfg ~worker ~on_result remaining in
+    if progress then Dmc_runtime.Progress.clear ();
+    emit_obs ~trace ~profile;
+    let stopped_at () =
+      (* Only point at a checkpoint that actually exists: a run stopped
+         before its first committed unit never wrote one. *)
+      Printf.sprintf "after %d/%d part(s)%s"
+        (List.length !committed_rev)
+        total
+        (match ckpt_path with
+        | Some p when Sys.file_exists p -> "; resume with --resume " ^ p
+        | Some _ | None -> "")
+    in
+    if !interrupted <> None then begin
+      Format.eprintf "dmc: interrupted %s@." (stopped_at ());
+      exit (interrupt_exit_code ())
+    end;
+    if
+      Array.exists
+        (fun o ->
+          match o.Pool.verdict with
+          | Pool.Engine_failure Dmc_util.Budget.Cancelled -> true
+          | _ -> false)
+        outcomes
+    then begin
+      Format.eprintf "dmc: timeout reached %s@." (stopped_at ());
+      exit 0
+    end;
+    (match mode with
+    | `Text ->
+        Printf.printf "\nOVERALL: %s\n"
+          (if !all_ok then "ALL CHECKS PASSED" else "SOME CHECKS FAILED")
+    | `Md ->
+        Printf.printf "\n---\n\n**OVERALL:** %s\n"
+          (if !all_ok then "ALL CHECKS PASSED" else "SOME CHECKS FAILED")
+    | `Json ->
+        let module J = Dmc_util.Json in
+        print_string
+          (J.to_string
+             (J.Obj
+                [
+                  ("kind", J.String "dmc-experiment-report");
+                  ("v", J.Int 2);
+                  ("ok", J.Bool !all_ok);
+                  ("experiments", J.List (List.rev !docs_rev));
+                ]));
+        print_newline ());
+    if not !all_ok then exit 1
   in
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"NAME"
@@ -1580,14 +1494,7 @@ let sweep_cmd =
     let row_arr = Array.of_list rows in
     let cfg =
       {
-        Pool.default with
-        jobs;
-        timeout = job_timeout;
-        max_retries = retries;
-        faults;
-        should_stop = (fun () -> !interrupted <> None);
-        on_progress =
-          (if progress then Some Dmc_runtime.Progress.draw else None);
+        (pool_config ~jobs ~job_timeout ~retries ~faults ~progress) with
         postmortem_dir = postmortem;
       }
     in

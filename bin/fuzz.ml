@@ -45,6 +45,12 @@
    Usage:
      dune exec bin/fuzz.exe -- [cases] [seed]
          [--timeout SECS] [--checkpoint FILE] [--resume FILE] [--no-checkpoint]
+         [--jobs N] [--job-timeout SECS] [--retries N] [--fault SPEC]
+         [--profile] [--trace FILE] [--progress]
+
+   Every case runs in a supervised forked worker, --jobs at a time,
+   and commits in case order, so the output is the same at every
+   width.
 
    The master RNG state and case counter are checkpointed after every
    case (default file: dmc-fuzz.ckpt.json, atomically replaced), so a
@@ -382,10 +388,9 @@ let one_case rng g ~s =
 (* ------------------------------------------------------------------ *)
 (* Driver: argument parsing, checkpointing, reproducers.              *)
 
-(* Everything a case does is a pure function of its seed, so the same
-   entry point serves the sequential loop and the forked pool workers
-   — the parallel run visits exactly the case stream a sequential run
-   would. *)
+(* Everything a case does is a pure function of its seed, so a forked
+   pool worker visits exactly the case stream of the master seed, at
+   every --jobs width. *)
 let run_case ~case_seed =
   let rng = Rng.create case_seed in
   let family = ref "?" in
@@ -417,8 +422,8 @@ let die msg =
   exit 2
 
 (* [rng] is the saved master state *after* the last committed case's
-   seed draw — the parallel supervisor snapshots it at dispatch time,
-   so a checkpoint written while later cases are in flight still
+   seed draw — the supervisor snapshots it per case when it draws the
+   seeds, so a checkpoint written while later cases are in flight still
    resumes the exact stream. *)
 let fuzz_checkpoint ~cases ~seed ~next_case ~rng ~total_vertices ~failures =
   J.Obj
@@ -591,110 +596,85 @@ let () =
              ~total_vertices:!total_vertices ~failures:!failures))
       !ckpt_path
   in
-  let stopped_at = ref None in
-  (if !jobs > 1 then begin
-     (* Supervised pool: one forked worker per case, results committed
-        in case order.  Case seeds are drawn from the master stream at
-        dispatch time, with the post-draw state snapshotted per case so
-        every checkpoint resumes the exact stream. *)
-     let module Pool = Dmc_runtime.Pool in
-     let n_remaining = cases - start_case + 1 in
-     if n_remaining > 0 then begin
-       let seeds = Array.make n_remaining (0, "") in
-       for k = 0 to n_remaining - 1 do
-         let case_seed = Rng.next master in
-         seeds.(k) <- (case_seed, Rng.save master)
-       done;
-       let worker _ k =
-         let case_seed, _ = seeds.(k) in
-         match run_case ~case_seed with
-         | Ok n -> Ok (J.Obj [ ("n", J.Int n) ])
-         | Error (check, msg, family, s, n) ->
-             Ok
-               (J.Obj
-                  [
-                    ("check", J.String check);
-                    ("msg", J.String msg);
-                    ("family", J.String family);
-                    ("s", J.opt (fun v -> J.Int v) s);
-                    ("n", J.opt (fun v -> J.Int v) n);
-                  ])
-       in
-       let on_result k outcome =
-         let case = start_case + k in
-         let case_seed, rng = seeds.(k) in
-         (match outcome.Pool.verdict with
-         | Pool.Done payload -> (
-             let field f conv = Option.bind (J.mem payload f) conv in
-             match field "check" J.as_string with
-             | Some check ->
-                 let str f = Option.value ~default:"?" (field f J.as_string) in
-                 record ~case ~case_seed ~family:(str "family")
-                   ~s:(field "s" J.as_int) ~n:(field "n" J.as_int) check
-                   (str "msg")
-             | None -> (
-                 match field "n" J.as_int with
-                 | Some n -> total_vertices := !total_vertices + n
-                 | None ->
-                     record ~case ~case_seed ~family:"?" ~s:None ~n:None
-                       "worker-protocol" "result frame lacks n"))
-         | v ->
-             (* The child died before it could persist anything, so the
-                supervisor emits the reproducer: case index + seeds are
-                enough to replay the case deterministically. *)
-             record ~case ~case_seed ~family:"?" ~s:None ~n:None "worker"
-               (Pool.verdict_to_string v));
-         checkpoint_after ~next_case:(case + 1) ~rng
-       in
-       let cfg =
-         {
-           Pool.default with
-           jobs = !jobs;
-           timeout = !job_timeout;
-           max_retries = !retries;
-           faults = Dmc_runtime.Fault.of_env () @ !cli_faults;
-           should_stop = (fun () -> !interrupted <> None);
-           accept_more =
-             (fun () ->
-               match deadline with
-               | None -> true
-               | Some d -> Dmc_util.Budget.now () <= d);
-           on_progress =
-             (if !progress then Some Dmc_runtime.Progress.draw else None);
-         }
-       in
-       let outcomes =
-         Pool.run cfg ~worker ~on_result (List.init n_remaining Fun.id)
-       in
-       if !progress then Dmc_runtime.Progress.clear ();
-       let cancelled =
-         Array.fold_left
-           (fun acc o ->
-             match o.Pool.verdict with
-             | Pool.Engine_failure Dmc_util.Budget.Cancelled -> acc + 1
-             | _ -> acc)
-           0 outcomes
-       in
-       if cancelled > 0 then stopped_at := Some (cases - cancelled)
-     end
-   end
-   else begin
-     let i = ref start_case in
-     let timed_out = ref false in
-     while !i <= cases && not !timed_out && !interrupted = None do
-       match deadline with
-       | Some d when Dmc_util.Budget.now () > d -> timed_out := true
-       | _ ->
-           let case_seed = Rng.next master in
-           (match run_case ~case_seed with
-           | Ok n -> total_vertices := !total_vertices + n
-           | Error (check, msg, family, s, n) ->
-               record ~case:!i ~case_seed ~family ~s ~n check msg);
-           incr i;
-           checkpoint_after ~next_case:(!i) ~rng:(Rng.save master)
-     done;
-     if !timed_out || !interrupted <> None then stopped_at := Some (!i - 1)
-   end);
+  (* Supervised pool at every --jobs width: one forked worker per case,
+     results committed in case order.  Case seeds are drawn from the
+     master stream up front, with the post-draw state snapshotted per
+     case so every checkpoint resumes the exact stream. *)
+  let module Pool = Dmc_runtime.Pool in
+  let n_remaining = Int.max 0 (cases - start_case + 1) in
+  let seeds = Array.make n_remaining (0, "") in
+  for k = 0 to n_remaining - 1 do
+    let case_seed = Rng.next master in
+    seeds.(k) <- (case_seed, Rng.save master)
+  done;
+  let worker _ k =
+    let case_seed, _ = seeds.(k) in
+    match run_case ~case_seed with
+    | Ok n -> Ok (J.Obj [ ("n", J.Int n) ])
+    | Error (check, msg, family, s, n) ->
+        Ok
+          (J.Obj
+             [
+               ("check", J.String check);
+               ("msg", J.String msg);
+               ("family", J.String family);
+               ("s", J.opt (fun v -> J.Int v) s);
+               ("n", J.opt (fun v -> J.Int v) n);
+             ])
+  in
+  let on_result k outcome =
+    let case = start_case + k in
+    let case_seed, rng = seeds.(k) in
+    (match outcome.Pool.verdict with
+    | Pool.Done payload -> (
+        let field f conv = Option.bind (J.mem payload f) conv in
+        match field "check" J.as_string with
+        | Some check ->
+            let str f = Option.value ~default:"?" (field f J.as_string) in
+            record ~case ~case_seed ~family:(str "family")
+              ~s:(field "s" J.as_int) ~n:(field "n" J.as_int) check
+              (str "msg")
+        | None -> (
+            match field "n" J.as_int with
+            | Some n -> total_vertices := !total_vertices + n
+            | None ->
+                record ~case ~case_seed ~family:"?" ~s:None ~n:None
+                  "worker-protocol" "result frame lacks n"))
+    | v ->
+        (* The child died before it could persist anything, so the
+           supervisor emits the reproducer: case index + seeds are
+           enough to replay the case deterministically. *)
+        record ~case ~case_seed ~family:"?" ~s:None ~n:None "worker"
+          (Pool.verdict_to_string v));
+    checkpoint_after ~next_case:(case + 1) ~rng
+  in
+  let cfg =
+    {
+      Pool.default with
+      jobs = !jobs;
+      timeout = !job_timeout;
+      max_retries = !retries;
+      faults = Dmc_runtime.Fault.of_env () @ !cli_faults;
+      should_stop = (fun () -> !interrupted <> None);
+      accept_more =
+        (fun () ->
+          match deadline with
+          | None -> true
+          | Some d -> Dmc_util.Budget.now () <= d);
+      on_progress = (if !progress then Some Dmc_runtime.Progress.draw else None);
+    }
+  in
+  let outcomes = Pool.run cfg ~worker ~on_result (List.init n_remaining Fun.id) in
+  if !progress then Dmc_runtime.Progress.clear ();
+  let cancelled =
+    Array.fold_left
+      (fun acc o ->
+        match o.Pool.verdict with
+        | Pool.Engine_failure Dmc_util.Budget.Cancelled -> acc + 1
+        | _ -> acc)
+      0 outcomes
+  in
+  let stopped_at = if cancelled > 0 then Some (cases - cancelled) else None in
   (match !trace with
   | Some path -> Dmc_obs.Export.write_chrome_trace path
   | None -> ());
@@ -707,7 +687,7 @@ let () =
         Printf.sprintf " (resume with --resume %s)" p
     | Some _ | None -> ""
   in
-  (match (!interrupted, !stopped_at) with
+  (match (!interrupted, stopped_at) with
   | Some _, Some at ->
       Printf.printf "fuzz: interrupted after %d/%d cases%s\n" at cases
         (resume_hint ())

@@ -3,10 +3,11 @@
     An experiment is a list of named {e parts} — independent,
     serializable units of computation, each returning a JSON payload —
     plus a pure function assembling those payloads into a {!Doc.t}.
-    The driver can run parts sequentially, shard them across the
-    supervised worker pool (payloads cross the process boundary as
-    JSON), or reload them from a checkpoint; the document, and hence
-    every renderer's output, is byte-identical in all three cases. *)
+    [dmc experiment] runs the parts on the supervised worker pool
+    (payloads cross the process boundary as JSON) or reloads them from
+    a checkpoint, and tests and the bench run them in-process with
+    {!doc}; the document, and hence every renderer's output, is
+    byte-identical in all three cases. *)
 
 type part = {
   part : string;               (** unique within the experiment *)

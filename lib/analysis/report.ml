@@ -69,14 +69,12 @@ let experiments : Experiment.t list =
 
 let find name = List.find_opt (fun (e : Experiment.t) -> e.name = name) experiments
 
-let run_and_print (e : Experiment.t) =
-  let doc = Experiment.doc e in
-  print_string (Doc.to_text doc);
-  Doc.ok doc
-
 let names =
   List.map
-    (fun (e : Experiment.t) -> (e.Experiment.name, fun () -> run_and_print e))
+    (fun (e : Experiment.t) ->
+      ( e.Experiment.name,
+        fun () ->
+          let doc = Experiment.doc e in
+          print_string (Doc.to_text doc);
+          Doc.ok doc ))
     experiments
-
-let all () = List.fold_left (fun acc (_, f) -> f () && acc) true names

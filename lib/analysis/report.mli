@@ -3,20 +3,15 @@
     Each experiment is an {!Experiment.t}: named serializable parts
     plus a pure assembler from part payloads to a {!Doc.t}.  The CLI
     renders the document as text (byte-identical to the historical
-    print-based output), JSON, or Markdown, and can shard the parts
-    across the worker pool or reload them from a checkpoint. *)
+    print-based output), JSON, or Markdown, and runs the parts on the
+    worker pool or reloads them from a checkpoint. *)
 
 val experiments : Experiment.t list
 (** All experiments, in the canonical run order. *)
 
 val find : string -> Experiment.t option
 
-val run_and_print : Experiment.t -> bool
-(** Run every part in-process, print the text rendering to stdout, and
-    return whether every check passed. *)
-
 val names : (string * (unit -> bool)) list
-(** Print-and-check thunks in registry order, for the bench harness. *)
-
-val all : unit -> bool
-(** Run every experiment in order; [true] iff all passed. *)
+(** Print-and-check thunks in registry order, for the bench harness:
+    each runs every part in-process, prints the text rendering to
+    stdout, and returns whether every check passed. *)

@@ -249,9 +249,10 @@ let parse_int_list s =
 let kind_tag = "dmc-sweep"
 
 (* v2 added the processor axis ("ps" in the grid signature, a "p"
-   column in rows); v1 checkpoints are refused with a version message
-   rather than a confusing grid mismatch. *)
-let version = 2
+   column in rows); v3 moved to the shared committed-prefix codec
+   ("key" and "committed" fields).  Older checkpoints are refused with a
+   version message rather than a confusing grid mismatch. *)
+let version = 3
 
 let signature t =
   let ints ns = J.List (List.map (fun i -> J.Int i) ns) in
@@ -270,33 +271,12 @@ let signature t =
     ]
 
 let checkpoint t ~committed =
-  J.Obj
-    [
-      ("kind", J.String kind_tag);
-      ("v", J.Int version);
-      ("grid", signature t);
-      ("rows", J.List committed);
-    ]
+  Dmc_util.Checkpoint.prefix ~kind:kind_tag ~version ~key:(signature t)
+    committed
 
 let restore t json =
-  let str f = Option.bind (J.mem json f) J.as_string in
-  match (str "kind", Option.bind (J.mem json "v") J.as_int) with
-  | Some k, _ when k <> kind_tag ->
-      Error (Printf.sprintf "checkpoint is %S, not a %s" k kind_tag)
-  | _, Some v when v <> version ->
-      Error (Printf.sprintf "checkpoint v%d, this build speaks v%d" v version)
-  | Some _, Some _ -> (
-      match (J.mem json "grid", Option.bind (J.mem json "rows") J.as_list) with
-      | Some grid, Some payloads ->
-          if grid <> signature t then
-            Error
-              "checkpoint was written by a different grid (specs, axes, \
-               engines or budgets differ); refusing to resume"
-          else if List.length payloads > List.length t.grid_rows then
-            Error "checkpoint has more committed rows than the grid expands to"
-          else Ok payloads
-      | _ -> Error "checkpoint has no grid/rows fields")
-  | _ -> Error ("not a " ^ kind_tag ^ " checkpoint")
+  Dmc_util.Checkpoint.read_prefix ~kind:kind_tag ~version ~key:(signature t)
+    ~units:(List.length t.grid_rows) json
 
 (* ------------------------------------------------------------------ *)
 (* Host health timeline                                                *)

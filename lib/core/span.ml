@@ -40,14 +40,14 @@ let s_span ?budget ?(max_nodes = 2_000_000) g ~s =
             && preds.(v) land lnot red = 0
           then
             if not full then
-              result := max !result (1 + best (fired lor bit) (red lor bit))
+              result := Int.max !result (1 + best (fired lor bit) (red lor bit))
             else begin
               (* evict any non-operand pebble *)
               let victims = red land lnot preds.(v) in
               for r = 0 to n - 1 do
                 if victims land (1 lsl r) <> 0 then
                   result :=
-                    max !result
+                    Int.max !result
                       (1 + best (fired lor bit) ((red land lnot (1 lsl r)) lor bit))
               done
             end
@@ -60,7 +60,7 @@ let s_span ?budget ?(max_nodes = 2_000_000) g ~s =
      saturating the compute vertices would leave nothing to fire. *)
   let best_span = ref 0 in
   let rec choose from chosen count =
-    if from = n || count = cap then best_span := max !best_span (best chosen chosen)
+    if from = n || count = cap then best_span := Int.max !best_span (best chosen chosen)
     else begin
       choose (from + 1) chosen count;
       choose (from + 1) (chosen lor (1 lsl from)) (count + 1)

@@ -49,32 +49,29 @@ let wavefront_sum ?samples ?(window = default_window) imp ~s =
    the trivial bound 0, which keeps the Theorem-2 sum sound. *)
 let wavefront_sum_pooled ?samples ?(window = default_window) ?timeout
     ?(retries = 2) ~jobs imp ~s =
-  if jobs <= 1 then wavefront_sum ?samples ~window imp ~s
-  else begin
-    let n, n_windows = layout imp ~window in
-    let cfg = { Pool.default with jobs; timeout; max_retries = retries } in
-    let worker _ w =
-      let lo = w * window and hi = min n ((w + 1) * window) in
-      Ok (Json.Int (window_bound ?samples imp ~s ~lo ~hi))
-    in
-    let outcomes = Pool.run cfg ~worker (List.init n_windows (fun w -> w)) in
-    let degraded = ref 0 in
-    let windows =
-      Array.init n_windows (fun w ->
-          let lo = w * window and hi = min n ((w + 1) * window) in
-          let bound =
-            match outcomes.(w).Pool.verdict with
-            | Pool.Done (Json.Int b) -> b
-            | _ ->
-                incr degraded;
-                0
-          in
-          { lo; hi; bound })
-    in
-    {
-      total = Array.fold_left (fun acc w -> acc + w.bound) 0 windows;
-      n_windows;
-      degraded = !degraded;
-      windows;
-    }
-  end
+  let n, n_windows = layout imp ~window in
+  let cfg = { Pool.default with jobs; timeout; max_retries = retries } in
+  let worker _ w =
+    let lo = w * window and hi = min n ((w + 1) * window) in
+    Ok (Json.Int (window_bound ?samples imp ~s ~lo ~hi))
+  in
+  let outcomes = Pool.run cfg ~worker (List.init n_windows (fun w -> w)) in
+  let degraded = ref 0 in
+  let windows =
+    Array.init n_windows (fun w ->
+        let lo = w * window and hi = min n ((w + 1) * window) in
+        let bound =
+          match outcomes.(w).Pool.verdict with
+          | Pool.Done (Json.Int b) -> b
+          | _ ->
+              incr degraded;
+              0
+        in
+        { lo; hi; bound })
+  in
+  {
+    total = Array.fold_left (fun acc w -> acc + w.bound) 0 windows;
+    n_windows;
+    degraded = !degraded;
+    windows;
+  }

@@ -20,7 +20,7 @@ type result = {
   n_windows : int;
   degraded : int;
       (** windows that fell back to the trivial bound 0 after their
-          pool worker failed; always 0 in the sequential path *)
+          pool worker failed; always 0 from {!wavefront_sum} *)
   windows : window_bound array;
 }
 
@@ -43,8 +43,9 @@ val wavefront_sum_pooled :
   Implicit.t ->
   s:int ->
   result
-(** The same sweep fanned out over {!Dmc_runtime.Pool} fork workers
-    ([jobs <= 1] degrades to {!wavefront_sum}).  Results commit in
-    window order, so totals and rows are byte-identical across [jobs]
-    widths; a window whose worker fails after retries contributes the
-    sound trivial bound 0 and is counted in [degraded]. *)
+(** The same sweep on [jobs >= 1] {!Dmc_runtime.Pool} fork workers, each
+    window under the hard deadline [timeout] with [retries] retries
+    (default 2).  Results commit in window order, so totals and rows
+    equal {!wavefront_sum}'s at every width; a window whose worker fails
+    after retries contributes the sound trivial bound 0 and is counted
+    in [degraded]. *)

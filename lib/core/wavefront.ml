@@ -115,7 +115,7 @@ let sample_anytime rng n ~samples wavefront =
         (try
            for _ = 1 to samples do
              let x = Rng.int rng n in
-             best := max !best (wavefront x);
+             best := Int.max !best (wavefront x);
              incr completed
            done
          with Budget.Exhausted _ -> ());
@@ -325,7 +325,7 @@ let exact_rung ?budget l ~s =
         let visit x =
           if not (Bitset.mem seen x) then begin
             Bitset.add seen x;
-            best := max !best (query ?budget part x)
+            best := Int.max !best (query ?budget part x)
           end
         in
         (visit, best)

@@ -236,7 +236,7 @@ let run ?budget p ~src ~dst =
             if u = dst then begin
               let pushed = ref infinite in
               for i = 0 to !depth - 1 do
-                pushed := min !pushed cap.!(cursor.!(path.!(i)))
+                pushed := Int.min !pushed cap.!(cursor.!(path.!(i)))
               done;
               for i = 0 to !depth - 1 do
                 let e = cursor.!(path.!(i)) in

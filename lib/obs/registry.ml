@@ -163,10 +163,11 @@ let set_gauge g v =
 let merge_gauge g v =
   if g.g_set then set_gauge g (Float.max g.g_value v) else set_gauge g v
 
-(* GC/memory gauges, refreshed from [Gc.quick_stat] at every span
-   boundary (and when a worker snapshots itself for the fork
-   boundary).  quick_stat reads runtime globals — no heap walk — so
-   the hot engines can afford the sample on every span close. *)
+(* GC/memory gauges, refreshed at every span boundary (and when a
+   worker snapshots itself for the fork boundary).  quick_stat reads
+   runtime globals — no heap walk — so the hot engines can afford the
+   sample on every span close.  Under OCaml 5 its minor_words reads 0
+   until the first minor collection; Gc.minor_words () does not. *)
 let g_minor_words = gauge "gc.minor_words"
 let g_promoted_words = gauge "gc.promoted_words"
 let g_major_words = gauge "gc.major_words"
@@ -178,7 +179,7 @@ let g_compactions = gauge "gc.compactions"
 
 let sample_gc () =
   let s = Gc.quick_stat () in
-  set_gauge g_minor_words s.Gc.minor_words;
+  set_gauge g_minor_words (Gc.minor_words ());
   set_gauge g_promoted_words s.Gc.promoted_words;
   set_gauge g_major_words s.Gc.major_words;
   set_gauge g_minor_collections (float_of_int s.Gc.minor_collections);

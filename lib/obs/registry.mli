@@ -120,8 +120,10 @@ val merge_gauge : gauge -> float -> unit
     been set, plain [set_gauge] before. *)
 
 val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges from [Gc.quick_stat].  Runs automatically
-    at every span close and inside {!snapshot_json}. *)
+(** Refresh the [gc.*] gauges: [gc.minor_words] from [Gc.minor_words],
+    the others still from [Gc.quick_stat] (which reads 0 before the
+    first minor collection).  Runs automatically at every span close
+    and inside {!snapshot_json}. *)
 
 val max_events : unit -> int
 (** Completed-span buffer bound; beyond it spans are counted as dropped

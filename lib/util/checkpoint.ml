@@ -83,3 +83,35 @@ let load path =
   with
   | text -> Json.parse text
   | exception Sys_error msg -> Error msg
+
+let prefix ~kind ~version ~key committed =
+  Json.Obj
+    [
+      ("kind", Json.String kind);
+      ("v", Json.Int version);
+      ("key", key);
+      ("committed", Json.List committed);
+    ]
+
+let read_prefix ~kind ~version ~key ~units json =
+  let field f conv = Option.bind (Json.mem json f) conv in
+  match (field "kind" Json.as_string, field "v" Json.as_int) with
+  | None, _ -> Error ("not a " ^ kind ^ " checkpoint")
+  | Some k, _ when k <> kind ->
+      Error (Printf.sprintf "checkpoint is %S, not a %s" k kind)
+  | Some _, v when v <> Some version ->
+      Error
+        (Printf.sprintf "%s checkpoint v%s, this build reads v%d" kind
+           (Option.fold ~none:"?" ~some:string_of_int v)
+           version)
+  | Some _, _ -> (
+      match (Json.mem json "key", field "committed" Json.as_list) with
+      | Some k, Some committed when k = key ->
+          if List.length committed <= units then Ok committed
+          else Error "checkpoint has more committed units than this run"
+      | Some k, Some _ ->
+          Error
+            (Printf.sprintf "checkpoint is for %s, this run for %s"
+               (Json.to_string ~indent:false k)
+               (Json.to_string ~indent:false key))
+      | _ -> Error "checkpoint has no key/committed fields")

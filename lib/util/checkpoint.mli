@@ -1,7 +1,7 @@
 (** Atomic JSON checkpoint files for the long-running drivers.
 
-    [dmc experiment] and the fuzzer periodically persist their progress
-    (completed cases, RNG state, partial outputs) so that a killed run
+    [dmc experiment], [dmc sweep] and the fuzzer periodically persist
+    their progress (committed payloads, RNG state) so that a killed run
     can be resumed with [--resume].  Writes go through a temporary file
     and a rename, so a crash mid-write never leaves a truncated
     checkpoint behind — the previous one survives intact. *)
@@ -33,3 +33,20 @@ val sweep_orphans : ?max_age:float -> string -> int
 val load : string -> (Json.t, string) result
 (** Read and parse a checkpoint; [Error] describes a missing,
     unreadable or malformed file. *)
+
+(** {1 Committed-prefix checkpoints}
+
+    [dmc experiment] and [dmc sweep] commit units in submission order
+    and checkpoint the committed prefix as
+    [{"kind", "v", "key", "committed"}]: a kind tag, a schema version, a
+    key that fixes the unit list (the selected experiment names, a
+    grid's signature) and the committed payloads in order. *)
+
+val prefix : kind:string -> version:int -> key:Json.t -> Json.t list -> Json.t
+
+val read_prefix :
+  kind:string -> version:int -> key:Json.t -> units:int -> Json.t ->
+  (Json.t list, string) result
+(** The committed payloads of a {!prefix} document.  [Error] on another
+    (or no) kind, version or key, or on more payloads than [units], so a
+    resume never mis-aligns payloads with units. *)

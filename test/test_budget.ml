@@ -700,6 +700,45 @@ let test_checkpoint_sweep_age_threshold () =
   check_bool "gone" true (not (Sys.file_exists temp));
   Unix.rmdir dir
 
+(* The committed-prefix codec behind the experiment and sweep
+   checkpoints: a document survives the file round trip, and a resume
+   refuses every document it could mis-align. *)
+let test_checkpoint_prefix () =
+  let key = Json.List [ Json.String "table1"; Json.String "sec3" ] in
+  let committed = [ Json.Int 1; Json.Obj [ ("rows", Json.List [ Json.Null ]) ] ] in
+  let doc = Checkpoint.prefix ~kind:"dmc-test" ~version:3 ~key committed in
+  let read ?(kind = "dmc-test") ?(key = key) ?(units = 4) doc =
+    Checkpoint.read_prefix ~kind ~version:3 ~key ~units doc
+  in
+  let must_error what = function
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error msg -> msg
+  in
+  let path = Filename.temp_file "dmc-test-prefix" ".json" in
+  Checkpoint.write path doc;
+  (match Result.bind (Checkpoint.load path) read with
+  | Ok payloads -> check_bool "round trip" true (payloads = committed)
+  | Error m -> Alcotest.fail m);
+  Sys.remove path;
+  (match read ~units:2 doc with
+  | Ok payloads -> check "as many payloads as units" 2 (List.length payloads)
+  | Error m -> Alcotest.fail m);
+  ignore (must_error "foreign kind" (read ~kind:"dmc-other" doc) : string);
+  ignore (must_error "no kind" (read (Json.Obj [])) : string);
+  let older =
+    must_error "older version"
+      (read (Checkpoint.prefix ~kind:"dmc-test" ~version:2 ~key committed))
+  in
+  check_bool "version message names both versions" true
+    (older = "dmc-test checkpoint v2, this build reads v3");
+  ignore
+    (must_error "no version" (read (Json.Obj [ ("kind", Json.String "dmc-test") ]))
+      : string);
+  ignore
+    (must_error "key mismatch" (read ~key:(Json.List [ Json.String "cg" ]) doc)
+      : string);
+  ignore (must_error "more payloads than units" (read ~units:1 doc) : string)
+
 let test_json_parse_errors () =
   List.iter
     (fun text ->
@@ -757,6 +796,8 @@ let () =
           Alcotest.test_case "orphan temp sweep" `Quick test_checkpoint_sweep;
           Alcotest.test_case "orphan sweep age threshold" `Quick
             test_checkpoint_sweep_age_threshold;
+          Alcotest.test_case "committed-prefix codec" `Quick
+            test_checkpoint_prefix;
           Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
         ] );
     ]

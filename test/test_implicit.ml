@@ -17,6 +17,7 @@ module Linalg = Dmc_gen.Linalg
 module Stencil = Dmc_gen.Stencil
 module Implicit_gen = Dmc_gen.Implicit_gen
 module Workload = Dmc_gen.Workload
+module Streaming = Dmc_core.Streaming
 module Bitset = Dmc_util.Bitset
 module Reference = Dmc_testlib.Reference
 
@@ -333,6 +334,39 @@ let test_registry () =
       | _ -> Alcotest.failf "registry build failed for %s" name)
     small
 
+(* The pooled streamed sweep is the sequential one: at one worker and at
+   two, every window has the same range and bound, the totals agree and
+   no window degrades.  The windows straddle jacobi time steps and fft
+   ranks (64 vertices each). *)
+let test_streaming_pooled () =
+  List.iter
+    (fun (spec, s, window) ->
+      let imp =
+        match Workload.parse_implicit spec with
+        | Ok imp -> imp
+        | Error e -> Alcotest.fail e
+      in
+      let seq = Streaming.wavefront_sum ~window imp ~s in
+      check_bool (spec ^ " has several windows") true (seq.n_windows > 2);
+      check_bool (spec ^ " bounds something") true (seq.total > 0);
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "%s jobs=%d" spec jobs in
+          let r = Streaming.wavefront_sum_pooled ~window ~jobs imp ~s in
+          check (what ^ " windows") seq.n_windows r.n_windows;
+          Array.iteri
+            (fun i (w : Streaming.window_bound) ->
+              let p = r.windows.(i) in
+              let at = Printf.sprintf "%s window %d" what i in
+              check (at ^ " lo") w.lo p.lo;
+              check (at ^ " hi") w.hi p.hi;
+              check (at ^ " bound") w.bound p.bound)
+            seq.windows;
+          check (what ^ " total") seq.total r.total;
+          check (what ^ " degraded") 0 r.degraded)
+        [ 1; 2 ])
+    [ ("jacobi1d:50,4", 4, 64); ("jacobi2d:8,3", 6, 100); ("fft:6", 4, 100) ]
+
 let () =
   Alcotest.run "implicit"
     [
@@ -356,4 +390,6 @@ let () =
         ] );
       ( "registry",
         [ Alcotest.test_case "registry" `Quick test_registry ] );
+      ( "streaming",
+        [ Alcotest.test_case "pooled = sequential" `Quick test_streaming_pooled ] );
     ]

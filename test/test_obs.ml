@@ -571,6 +571,35 @@ let test_gc_gauges_sampled =
       check_bool "gc.heap_words set by span close" true (Registry.(g.g_set));
       check_bool "heap is non-empty" true (Gauge.get g > 0.0))
 
+(* A pooled bounds run that ends before its workers' first minor
+   collection still reports its allocation: gc.minor_words does not
+   come from quick_stat, which reads 0 until that collection. *)
+let test_cli_minor_words () =
+  let dmc =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
+      "dmc.exe"
+  in
+  let ic =
+    Unix.open_process_args_in dmc
+      [| dmc; "bounds"; "-g"; "tree:32"; "-s"; "6"; "--budget"; "200000";
+         "--profile" |]
+  in
+  let lines = String.split_on_char '\n' (In_channel.input_all ic) in
+  check_bool "exit 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  let words =
+    List.find_map
+      (fun line ->
+        match String.split_on_char '|' line with
+        | [ ""; name; value; "" ] when String.trim name = "gc.minor_words" ->
+            float_of_string_opt (String.trim value)
+        | _ -> None)
+      lines
+  in
+  match words with
+  | None -> Alcotest.fail "no gc.minor_words gauge in the profile"
+  | Some w -> check_bool "gc.minor_words > 0" true (w > 0.)
+
 (* ------------------------------------------------------------------ *)
 (* Span-drop path                                                      *)
 
@@ -790,6 +819,8 @@ let () =
         [
           Alcotest.test_case "set and max-merge" `Quick test_gauge_set_merge;
           Alcotest.test_case "gc sampler fills gc.*" `Quick test_gc_gauges_sampled;
+          Alcotest.test_case "bounds --profile counts minor words" `Quick
+            test_cli_minor_words;
         ] );
       ( "span-drop",
         [ Alcotest.test_case "cap, notice and merge" `Quick test_span_drop ] );

@@ -796,12 +796,14 @@ let test_engine_job_rejects_s0 () =
       | Ok _ -> Alcotest.failf "%s accepted S = 0" engine)
     [ "floor"; "optimal"; "mp-comm-lb" ]
 
-(* [dmc ARGV] with stderr merged: its exit code and output. *)
-let run_dmc argv =
+(* [dmc ARGV]: its exit code and output, stderr merged unless
+   [~stderr:false] drops it. *)
+let run_dmc ?(stderr = true) argv =
   if not (Sys.file_exists dmc_exe) then
     Alcotest.fail ("dmc binary missing: " ^ dmc_exe);
   let cmd =
-    String.concat " " (List.map Filename.quote (dmc_exe :: argv)) ^ " 2>&1"
+    String.concat " " (List.map Filename.quote (dmc_exe :: argv))
+    ^ if stderr then " 2>&1" else " 2>/dev/null"
   in
   let ic = Unix.open_process_in cmd in
   let out = In_channel.input_all ic in
@@ -866,6 +868,40 @@ let test_mp_rows_degrade () =
       check_str "mp-comm-lb row"
         "  mp-comm-lb   lb     64       rung=floor    internal(fallback=floor)"
         line
+
+(* Run-control flags never change what is computed.  Flagless bounds
+   is the raising report, run in-process whatever --progress or --jobs
+   say. *)
+let test_flagless_bounds_ignore_run_control () =
+  let stdout argv =
+    let code, out = run_dmc ~stderr:false argv in
+    check (String.concat " " argv ^ " exit") 0 code;
+    out
+  in
+  let base = [ "bounds"; "-g"; "tree:8"; "-s"; "4" ] in
+  let want = stdout base in
+  List.iter
+    (fun extra -> check_str (String.concat " " extra) want (stdout (base @ extra)))
+    [ [ "--progress" ]; [ "--jobs"; "2" ] ]
+
+(* --stream takes its per-window deadline from --job-timeout, not from
+   the cooperative --timeout, so a tiny --timeout kills no window at
+   any width. *)
+let test_stream_ignores_timeout () =
+  let json jobs =
+    let code, out =
+      run_dmc ~stderr:false
+        [ "bounds"; "--stream"; "-g"; "jacobi2d:48,6"; "-s"; "16";
+          "--window"; "13824"; "--timeout"; "0.0001"; "--json";
+          "--jobs"; jobs ]
+    in
+    check ("--jobs " ^ jobs ^ " exit") 0 code;
+    out
+  in
+  let one = json "1" in
+  check_str "--jobs 2 = --jobs 1" one (json "2");
+  check_bool "no degraded window" true
+    (List.mem "  \"degraded\": 0" (String.split_on_char '\n' one))
 
 let () =
   Alcotest.run "dmc_sweep"
@@ -938,5 +974,9 @@ let () =
             test_remote_obs_counters_match_local;
           Alcotest.test_case "remote report matches local" `Quick
             test_remote_report_matches_local;
+          Alcotest.test_case "flagless bounds ignore run-control flags"
+            `Quick test_flagless_bounds_ignore_run_control;
+          Alcotest.test_case "--stream ignores --timeout" `Quick
+            test_stream_ignores_timeout;
         ] );
     ]
